@@ -7,6 +7,13 @@ connected components come out in a fixed order.
 
 from __future__ import annotations
 
+import numpy as np
+
+
+def support_adjacency(a: np.ndarray) -> list[list[int]]:
+    """Adjacency lists of the support graph: an arc i -> j wherever a[i, j] > 0."""
+    return [list(np.nonzero(a[i] > 0)[0]) for i in range(a.shape[0])]
+
 
 def strongly_connected_components(n: int, adj: list[list[int]]) -> list[list[int]]:
     """Tarjan's algorithm, iterative.

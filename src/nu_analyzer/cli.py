@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .balancer import convergence_study, heuristic_balance
 from .errors import ValidationError
-from ._graph import has_cycle
+from ._graph import has_cycle, support_adjacency
 from .magnitude import MagnitudeMatrix, as_array, magnitude_matrix
 from .nu_exact import (
     METHOD_RING,
@@ -85,7 +85,7 @@ def build_report(
             witness=tuple(float(v) for v in nu_result.witness_delta),
         )
 
-    acyclic = not has_cycle(n, [list(np.nonzero(a[i] > 0)[0]) for i in range(n)])
+    acyclic = not has_cycle(n, support_adjacency(a))
     diag_max = bool(bal.value > 0 and float(np.diag(a).max()) >= bal.value * (1 - 1e-9))
     ratios = ReportRatios(
         nubar_over_nu_lower=(bal.value / lower.bound) if lower.bound > 0 else None,

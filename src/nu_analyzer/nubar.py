@@ -18,7 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._graph import condensation_topological_order, has_cycle, strongly_connected_components
+from ._graph import (
+    condensation_topological_order,
+    has_cycle,
+    strongly_connected_components,
+    support_adjacency,
+)
 from .errors import ValidationError
 from .magnitude import as_array
 
@@ -85,10 +90,6 @@ def _log_weights(a: np.ndarray) -> np.ndarray:
         return np.where(a > 0, np.log(np.where(a > 0, a, 1.0)), NEG)
 
 
-def _support_adjacency(a: np.ndarray) -> list[list[int]]:
-    return [list(np.nonzero(a[i] > 0)[0]) for i in range(a.shape[0])]
-
-
 def _karp_max_mean(w: np.ndarray) -> float:
     """Maximum cycle mean of a strongly connected log-weighted digraph.
 
@@ -114,7 +115,7 @@ def _karp_max_mean(w: np.ndarray) -> float:
 def _max_cycle_mean(a: np.ndarray) -> float:
     """Maximum cycle mean over the whole support graph, -inf if acyclic."""
     n = a.shape[0]
-    adj = _support_adjacency(a)
+    adj = support_adjacency(a)
     w = _log_weights(a)
     best = NEG
     for comp in strongly_connected_components(n, adj):
@@ -145,6 +146,24 @@ def _potentials(w: np.ndarray, lam: float) -> np.ndarray:
             break
         p = newp
     return p
+
+
+def _nubar_normalized(a: np.ndarray) -> np.ndarray | None:
+    """The matrix under the optimal diagonal similarity, divided by nubar.
+
+    Entries are exp(log a_ij + p_i - p_j - lam) with p the longest-path
+    potentials and lam the maximum cycle mean, formed in the log domain so
+    that no entry underflows through the scaling weights. Every entry is at
+    most one up to rounding, and every principal submatrix keeps its
+    spectral radius up to the common factor exp(-lam). None on acyclic
+    support, where nubar is zero.
+    """
+    lam = _max_cycle_mean(a)
+    if lam == NEG:
+        return None
+    w = _log_weights(a)
+    p = _potentials(w, lam)
+    return np.exp(w + p[:, None] - p[None, :] - lam)
 
 
 def _tight_arcs(w: np.ndarray, lam: float, p: np.ndarray, tol: float) -> np.ndarray:
@@ -296,7 +315,7 @@ def nubar_lp(M, tol_log: float = 1e-10) -> NubarResult:
     """
     a = as_array(M)
     n = a.shape[0]
-    if not has_cycle(n, _support_adjacency(a)):
+    if not has_cycle(n, support_adjacency(a)):
         d = _acyclic_scaling(a)
         sv = ScalingVector(d)
         return NubarResult(0.0, sv, (), certify_optimality(a, d), is_balanced(a, d))
@@ -449,7 +468,7 @@ def balanced_solution(M) -> NubarResult:
 
     off = a.copy()
     np.fill_diagonal(off, 0.0)
-    adj = _support_adjacency(off)
+    adj = support_adjacency(off)
     w_off = _log_weights(off)
     comps, comp_of = condensation_topological_order(n, adj)
     nblocks = len(comps)

@@ -1,8 +1,9 @@
 """Independent oracles and corpus generators shared by the tests.
 
 These deliberately avoid the production code paths: cycle enumeration is
-plain itertools search, and the spectral oracle goes through characteristic
-polynomial roots.
+plain itertools search, the spectral oracle goes through characteristic
+polynomial roots, and the subset-bound oracle runs the power iteration on
+every subset where the library screens them with batched eigenvalues.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 import numpy as np
+
+from nu_analyzer import SubsetBound, nubar_exact, spectral_radius
 
 
 def enum_max_cycle_mean(a: np.ndarray) -> float:
@@ -55,6 +58,60 @@ def char_poly_rho(a: np.ndarray) -> float:
         mk = mk + ck * np.eye(n)
     roots = np.roots(coeffs)
     return float(np.abs(roots).max()) if roots.size else 0.0
+
+
+def enum_subset_bound(a: np.ndarray, max_subset_size: int | None = None, tol: float = 1e-10) -> SubsetBound:
+    """Exhaustive subset lower bound with spectral_radius on every subset.
+
+    Same enumeration order, tie margin and (1,) incumbent as the production
+    search, so on inputs where the power iteration is accurate the two agree
+    field for field. Exponential cost; intended for n <= 9.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    if max_subset_size is None:
+        max_subset_size = n
+    best_idx = (0,)
+    best_rho = spectral_radius(a[:1, :1], tol=tol).rho
+    best = best_rho
+    for size in range(1, max_subset_size + 1):
+        for idx in combinations(range(n), size):
+            if idx == (0,):
+                continue
+            rho = spectral_radius(a[np.ix_(idx, idx)], tol=tol).rho
+            bound = rho / size
+            if bound > best + 1e-12 * max(1.0, best):
+                best, best_rho, best_idx = bound, rho, idx
+    return SubsetBound(tuple(i + 1 for i in best_idx), best_rho, best, True)
+
+
+def nubar_scaled(a: np.ndarray) -> np.ndarray:
+    """The matrix under nubar_exact's optimal scaling, formed in logs.
+
+    The scaling weights may be tiny on wide-range inputs; summing their logs
+    with the entries' keeps every scaled entry representable.
+    """
+    a = np.asarray(a, dtype=float)
+    logd = np.log(nubar_exact(a).scaling.d)
+    with np.errstate(divide="ignore"):
+        return np.exp(np.log(a) + logd[:, None] - logd[None, :])
+
+
+def eig_subset_value(scaled: np.ndarray, idx) -> float:
+    """Largest |eigvals| of the principal submatrix on 0-based ``idx``, over |I|."""
+    idx = list(idx)
+    return float(np.abs(np.linalg.eigvals(scaled[np.ix_(idx, idx)])).max()) / len(idx)
+
+
+def eig_subset_max(scaled: np.ndarray, max_subset_size: int) -> float:
+    """Brute-force maximum of eig_subset_value over all subsets up to the size limit."""
+    n = scaled.shape[0]
+    best = 0.0
+    for size in range(1, max_subset_size + 1):
+        idx = np.array(list(combinations(range(n), size)))
+        ev = np.linalg.eigvals(scaled[idx[:, :, None], idx[:, None, :]])
+        best = max(best, float(np.abs(ev).max()) / size)
+    return best
 
 
 def dense_matrix(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -8,10 +8,18 @@ from nu_analyzer import (
     nubar_exact,
     ring_matrix,
     scaled_inf_norm,
+    spectral,
     spectral_radius,
 )
 
-from helpers import char_poly_rho, positive_diagonal
+from helpers import (
+    char_poly_rho,
+    eig_subset_max,
+    eig_subset_value,
+    enum_subset_bound,
+    nubar_scaled,
+    positive_diagonal,
+)
 
 
 class TestSpectralRadius:
@@ -147,3 +155,65 @@ class TestSubsetLowerBound:
     def test_subset_size_validation(self):
         with pytest.raises(ValidationError):
             nu_lower_bound(np.eye(3), max_subset_size=4)
+
+
+FUZZ_KINDS = ("dense", "sparse", "wide")
+
+
+def _fuzz_matrix(rng: np.random.Generator, kind: str, n: int) -> np.ndarray:
+    m = rng.random((n, n))
+    if kind != "dense":
+        m = m * (rng.random((n, n)) < rng.uniform(0.2, 0.6))
+    if kind == "wide":
+        m = m * np.exp(rng.uniform(-20, 20, (n, n)))
+    return m
+
+
+def _assert_reaches_eig_max(m: np.ndarray, b, max_subset_size: int) -> None:
+    scaled = nubar_scaled(m)
+    got = eig_subset_value(scaled, [i - 1 for i in b.indices])
+    assert got == pytest.approx(eig_subset_max(scaled, max_subset_size), rel=1e-9)
+
+
+class TestSubsetScreen:
+    @pytest.mark.parametrize("kind", FUZZ_KINDS)
+    def test_fuzz_against_enumeration(self, kind):
+        rng = np.random.default_rng(21 + FUZZ_KINDS.index(kind))
+        for _ in range(20):
+            n = int(rng.integers(2, 10))
+            m = _fuzz_matrix(rng, kind, n)
+            b = nu_lower_bound(m)
+            assert b.exhaustive
+            if kind != "wide":
+                # the power iteration is exact enough here for field equality
+                assert b == enum_subset_bound(m)
+            if b.bound > 0:
+                _assert_reaches_eig_max(m, b, n)
+            else:
+                assert b.indices == (1,) and b.rho_sub == 0.0
+
+    def test_fuzz_with_subset_size_limit(self):
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            n = int(rng.integers(3, 9))
+            m = _fuzz_matrix(rng, "sparse", n)
+            k = int(rng.integers(1, n))
+            assert nu_lower_bound(m, max_subset_size=k) == enum_subset_bound(m, k)
+
+    @pytest.mark.parametrize("density", [1.0, 0.4])
+    def test_n16_confirms_few_subsets(self, density, monkeypatch):
+        calls = []
+        radius = spectral.spectral_radius
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return radius(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "spectral_radius", counting)
+        rng = np.random.default_rng(16)
+        m = rng.random((16, 16)) * (rng.random((16, 16)) < density)
+        b = nu_lower_bound(m, max_subset_size=12)
+        assert b.exhaustive
+        # the per-subset search made about 64k calls here
+        assert len(calls) <= 20
+        _assert_reaches_eig_max(m, b, 12)
