@@ -59,7 +59,6 @@ def heuristic_balance(
     theta: float = 0.5,
     max_iter: int = 1000,
     tol: float = 1e-3,
-    asynchronous: bool = False,
 ) -> BalanceTrace:
     """Run the balancing iteration from the all-ones scaling.
 
@@ -88,19 +87,11 @@ def heuristic_balance(
     oscillating = False
     for t in range(2, max_iter + 2):
         prev = steps[-1]
-        if asynchronous:
-            dn = d.copy()
-            for k in range(n):
-                num = float((a0[:, k] * dn).max())
-                den = float((a0[k, :] / dn).max())
-                ratio = np.sqrt(num) / np.sqrt(den) if num > 0 and den > 0 else dn[k]
-                dn[k] = (1.0 - theta) * dn[k] + theta * ratio
-        else:
-            num = (a0 * d[:, None]).max(axis=0)
-            den = (a0 / d[None, :]).max(axis=1)
-            ok = (num > 0) & (den > 0)
-            ratio = np.where(ok, np.sqrt(np.where(ok, num, 1.0)) / np.sqrt(np.where(ok, den, 1.0)), d)
-            dn = (1.0 - theta) * d + theta * ratio
+        num = (a0 * d[:, None]).max(axis=0)
+        den = (a0 / d[None, :]).max(axis=1)
+        ok = (num > 0) & (den > 0)
+        ratio = np.where(ok, np.sqrt(np.where(ok, num, 1.0)) / np.sqrt(np.where(ok, den, 1.0)), d)
+        dn = (1.0 - theta) * d + theta * ratio
         obj = _objective(a, dn)
         rel = abs(obj - prev.objective) / max(prev.objective, 1e-300)
         steps.append(BalanceStep(t, dn.copy(), obj, rel))

@@ -57,7 +57,6 @@ log = logging.getLogger("nu_analyzer")
 def build_report(
     M,
     subset_max: int | None = None,
-    tol: float = 1e-9,
     oracle: bool = False,
     nu_result: NuResult | None = None,
 ) -> RobustnessReport:
@@ -66,7 +65,7 @@ def build_report(
     n = a.shape[0]
     if subset_max is None:
         subset_max = min(n, 12)
-    rad = spectral_radius(a, tol=tol)
+    rad = spectral_radius(a)
     bal = balanced_solution(a)
     lower = nu_lower_bound(a, max_subset_size=subset_max)
 
@@ -161,7 +160,7 @@ def _threads(value: int) -> int:
 
 def _cmd_analyze(args) -> int:
     m = _load_matrix(args.path)
-    report = build_report(m, subset_max=args.subset_max, tol=args.tol, oracle=args.oracle)
+    report = build_report(m, subset_max=args.subset_max, oracle=args.oracle)
     if args.out:
         write_report(report, args.out)
         log.info("report written to %s", args.out)
@@ -270,7 +269,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--oracle", action="store_true", help="include the exact value (n <= 4)")
     p.add_argument("--subset-max", type=int, default=None, help="largest subset size searched")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_analyze)
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .magnitude import MagnitudeMatrix, as_array
+from .spectral import _perron_roots
 
 METHOD_CLOSED_FORM_2X2 = "closed_form_2x2"
 METHOD_RING = "ring"
@@ -30,33 +31,6 @@ class NuResult:
     value: float
     witness_delta: np.ndarray
     method: str
-
-
-def _char_poly_coeffs(a: np.ndarray) -> np.ndarray:
-    """Characteristic polynomial coefficients by the trace recursion."""
-    n = a.shape[0]
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0
-    mk = np.eye(n)
-    for k in range(1, n + 1):
-        mk = a @ mk
-        ck = -np.trace(mk) / k
-        coeffs[k] = ck
-        mk = mk + ck * np.eye(n)
-    return coeffs
-
-
-def _perron_root(a: np.ndarray) -> float:
-    """Spectral radius helper for the tiny matrices the oracle sweeps."""
-    n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0])
-    if n == 2:
-        tr = a[0, 0] + a[1, 1]
-        disc = (a[0, 0] - a[1, 1]) ** 2 + 4.0 * a[0, 1] * a[1, 0]
-        return float(0.5 * (tr + math.sqrt(max(disc, 0.0))))
-    roots = np.roots(_char_poly_coeffs(a))
-    return float(np.abs(roots).max())
 
 
 def nu_2x2(M) -> NuResult:
@@ -94,14 +68,19 @@ def nu_2x2(M) -> NuResult:
     return NuResult(float(value), witness, METHOD_CLOSED_FORM_2X2)
 
 
-def ring_matrix(weights) -> MagnitudeMatrix:
-    """Cycle interconnection: node k driven by node k+1 (wrapping) with the
-    given arc gains."""
+def _ring_weights(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.shape[0] < 1:
         raise ValidationError("ring weights must be a nonempty vector")
     if not np.all(np.isfinite(w)) or np.any(w <= 0):
         raise ValidationError("ring weights must be positive and finite")
+    return w
+
+
+def ring_matrix(weights) -> MagnitudeMatrix:
+    """Cycle interconnection: node k driven by node k+1 (wrapping) with the
+    given arc gains."""
+    w = _ring_weights(weights)
     n = w.shape[0]
     m = np.zeros((n, n))
     for k in range(n):
@@ -112,11 +91,7 @@ def ring_matrix(weights) -> MagnitudeMatrix:
 def nu_ring(weights) -> NuResult:
     """Exact value for a ring: destabilization needs the gains' product around
     the cycle to reach one, and the cheapest split is even."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.shape[0] < 1:
-        raise ValidationError("ring weights must be a nonempty vector")
-    if not np.all(np.isfinite(w)) or np.any(w <= 0):
-        raise ValidationError("ring weights must be positive and finite")
+    w = _ring_weights(weights)
     n = w.shape[0]
     log_gain = float(np.log(w).sum())
     root = math.exp(log_gain / n)
@@ -174,7 +149,7 @@ def nu_oracle(M, grid: int | None = None, refine_steps: int = 40) -> NuResult:
     best_dir = None
     best = -1.0
     for direction in _simplex_grid(n, grid):
-        r = _perron_root(direction[:, None] * a)
+        r = float(_perron_roots(direction[:, None] * a))
         if r > best + 1e-15:
             best, best_dir = r, direction
     h = 1.0 / grid
@@ -190,7 +165,7 @@ def nu_oracle(M, grid: int | None = None, refine_steps: int = 40) -> NuResult:
                 if total <= 0:
                     continue
                 trial = trial / total
-                r = _perron_root(trial[:, None] * a)
+                r = float(_perron_roots(trial[:, None] * a))
                 if r > best + 1e-15:
                     best, improved_dir = r, trial
         best_dir = improved_dir

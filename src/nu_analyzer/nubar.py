@@ -4,10 +4,9 @@ The bound is the infimum over positive diagonal similarities of the largest
 scaled entry. Its combinatorial value is the maximum over directed cycles of
 the geometric mean of the entries along the cycle, computed here with Karp's
 maximum mean-cycle recursion on log weights per strongly connected component.
-A self-contained bisection/Bellman-Ford solver provides an independent value
-for cross-checking, and an exact balancing routine produces an optimal
-scaling whose largest incoming and outgoing scaled entries agree at every
-node wherever that is structurally possible.
+An exact balancing routine produces an optimal scaling whose largest incoming
+and outgoing scaled entries agree at every node wherever that is structurally
+possible.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import numpy as np
 
 from ._graph import (
     condensation_topological_order,
-    has_cycle,
     strongly_connected_components,
     support_adjacency,
 )
@@ -295,60 +293,6 @@ def nubar_exact(M) -> NubarResult:
     cycle = _witness_cycle(w, lam, p)
     value = _cycle_geometric_mean(a, cycle)
     d = np.exp(p - p.max())
-    sv = ScalingVector(d)
-    return NubarResult(
-        value,
-        sv,
-        tuple(i + 1 for i in cycle),
-        certify_optimality(a, d),
-        is_balanced(a, d),
-    )
-
-
-def nubar_lp(M, tol_log: float = 1e-10) -> NubarResult:
-    """Independent solver for the same bound, used as a cross-check oracle.
-
-    Bisects the objective level; a level is feasible exactly when the graph
-    with arc costs level - log(M_ij) has no negative cycle, which n rounds of
-    Bellman-Ford relaxation detect. Kept free of the mean-cycle machinery on
-    purpose.
-    """
-    a = as_array(M)
-    n = a.shape[0]
-    if not has_cycle(n, support_adjacency(a)):
-        d = _acyclic_scaling(a)
-        sv = ScalingVector(d)
-        return NubarResult(0.0, sv, (), certify_optimality(a, d), is_balanced(a, d))
-    w = _log_weights(a)
-    arcs = w > NEG
-
-    def feasible(level: float) -> np.ndarray | None:
-        cost = np.where(arcs, level - w, np.inf)
-        dist = np.zeros(n)
-        for _ in range(n):
-            dist = np.minimum(dist, (dist[:, None] + cost).min(axis=0))
-        if ((dist[:, None] + cost).min(axis=0) < dist - 1e-15).any():
-            return None
-        return dist
-
-    lo = float(w[arcs].min()) - 1.0
-    hi = float(w[arcs].max()) + 1.0
-    while hi - lo > tol_log:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid) is not None:
-            hi = mid
-        else:
-            lo = mid
-    dist = feasible(hi)
-    beta = -dist
-    d = np.exp(beta - beta.max())
-    gamma = 0.5 * (lo + hi)
-    value = math.exp(gamma)
-    cycle = ()
-    for tol in (max(1e-8, 100 * n * tol_log), 1e-6, 1e-4):
-        cycle = _cycle_in_tight_graph(_tight_arcs(w, gamma, beta, tol))
-        if cycle:
-            break
     sv = ScalingVector(d)
     return NubarResult(
         value,

@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._graph import has_cycle, support_adjacency
+from ._graph import strongly_connected_components, support_adjacency
 from .errors import ValidationError
 from .magnitude import as_array
 from .nubar import _nubar_normalized
@@ -30,9 +30,6 @@ _SCREEN_WINDOW = 1e-6
 @dataclass(frozen=True)
 class SpectralResult:
     rho: float
-    right_vector: np.ndarray
-    iterations: int
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -45,83 +42,39 @@ class SubsetBound:
     exhaustive: bool
 
 
-def spectral_radius(M, tol: float = 1e-10, max_iter: int | None = None) -> SpectralResult:
-    """Perron root of a nonnegative matrix by shifted power iteration.
+def _perron_roots(stack: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue modulus of each matrix along the last two axes: the
+    Perron root of a nonnegative matrix."""
+    return np.abs(np.linalg.eigvals(stack)).max(axis=-1)
 
-    Iterates on ``M + shift*I`` (exact: the Perron root shifts by exactly
-    ``shift``) and brackets the root with the min/max ratios of consecutive
-    iterates. A tiny shift keeps the fast path undisturbed; if the bracket
-    stalls, e.g. for periodic support graphs where the tiny shift leaves no
-    usable spectral gap, the iteration restarts once with a shift on the
-    scale of the largest entry.
+
+def spectral_radius(M) -> SpectralResult:
+    """Perron root of a nonnegative matrix, one component at a time.
+
+    Ordered by the strongly connected components of the support graph, the
+    matrix is block triangular, so its spectrum is the union of the spectra
+    of the components' diagonal blocks. Only components with a cycle (more
+    than one node, or a self-loop) have a nonzero block. Each block is
+    solved with a direct eigensolve. Solving the blocks apart matters when
+    the same Perron root recurs in several of them: on the whole matrix that
+    root is defective, and the eigensolver misses it by about the square
+    root of the rounding error.
     """
     a = as_array(M)
-    if not tol > 0:
-        raise ValidationError(f"tolerance must be positive, got {tol!r}")
-    n = a.shape[0]
-    if max_iter is None:
-        max_iter = 100 * n + 1000
-
-    max_entry = float(a.max())
-    ones = np.ones(n)
-    if max_entry == 0.0:
-        return SpectralResult(0.0, ones, 0, True)
-    if not has_cycle(n, support_adjacency(a)):
-        # nilpotent support: every eigenvalue is zero
-        return SpectralResult(0.0, ones, 0, True)
-
-    shift = 1e-12 * max_entry
-    b = a + shift * np.eye(n)
-    switch_at = min(150, max(1, max_iter // 2))
-    x = ones.copy()
-    hi = prev_hi = float("inf")
-    lo = 0.0
     rho = 0.0
-    converged = False
-    it = 0
-    while it < max_iter:
-        it += 1
-        y = b @ x
-        ratios = y / x
-        lo = float(ratios.min())
-        hi = float(ratios.max())
-        if hi - lo <= tol * hi:
-            rho = 0.5 * (lo + hi) - shift
-            converged = True
-            break
-        # floor keeps decaying components positive; a component that
-        # underflows to zero would otherwise turn the ratios into 0/0
-        xn = np.maximum(y / y.max(), 1e-300)
-        if (
-            np.abs(xn - x).max() <= 0.5 * tol
-            and np.isfinite(prev_hi)
-            and abs(hi - prev_hi) <= tol * hi
-        ):
-            # reducible case: direction settled even though the lower ratio
-            # is pinned by a subdominant block
-            rho = hi - shift
-            converged = True
-            break
-        x = xn
-        prev_hi = hi
-        if it == switch_at:
-            shift = max_entry
-            b = a + shift * np.eye(n)
-            prev_hi = float("inf")
-    else:
-        rho = hi - shift  # budget exhausted: upper ratio is the best estimate
-
-    rho = max(rho, 0.0)
-    return SpectralResult(rho, x / x.max(), it, converged)
+    for comp in strongly_connected_components(a.shape[0], support_adjacency(a)):
+        if len(comp) > 1 or a[comp[0], comp[0]] > 0:
+            rho = max(rho, float(_perron_roots(a[np.ix_(comp, comp)])))
+    return SpectralResult(rho)
 
 
-def mu(M, tol: float = 1e-10, max_iter: int | None = None) -> float:
+def mu(M) -> float:
     """Robustness measure against diagonal peak-bounded uncertainty.
 
     Equals the spectral radius; 1/mu is the smallest uncertainty gain that
     can destabilize the interconnection.
     """
-    return spectral_radius(M, tol=tol, max_iter=max_iter).rho
+    return spectral_radius(M).rho
 
 
 def scaled_inf_norm(M, d) -> float:
@@ -135,9 +88,8 @@ def scaled_inf_norm(M, d) -> float:
     return float((a * dv[:, None] / dv[None, :]).sum(axis=1).max())
 
 
-def _subset_rho(a: np.ndarray, idx: tuple[int, ...], tol: float) -> float:
-    sub = a[np.ix_(idx, idx)]
-    return spectral_radius(sub, tol=tol).rho
+def _subset_rho(a: np.ndarray, idx: tuple[int, ...]) -> float:
+    return spectral_radius(a[np.ix_(idx, idx)]).rho
 
 
 def _screen(a: np.ndarray, max_size: int) -> list[tuple[int, ...]]:
@@ -151,7 +103,7 @@ def _screen(a: np.ndarray, max_size: int) -> list[tuple[int, ...]]:
     for size in range(1, max_size + 1):
         idx = np.array(list(combinations(range(n), size)), dtype=np.intp)
         stack = scaled[idx[:, :, None], idx[:, None, :]]
-        est = np.abs(np.linalg.eigvals(stack)).max(axis=1) / size
+        est = _perron_roots(stack) / size
         screened.append((idx, est))
     top = max(float(est.max()) for _, est in screened)
     if top == 0.0:
@@ -164,7 +116,6 @@ def nu_lower_bound(
     M,
     max_subset_size: int | None = None,
     exhaustive_limit: int = 16,
-    tol: float = 1e-10,
 ) -> SubsetBound:
     """Best submatrix lower bound rho(M_I)/|I| over index subsets.
 
@@ -196,28 +147,28 @@ def nu_lower_bound(
         )
 
     best_idx: tuple[int, ...] = (0,)
-    best_rho = _subset_rho(a, (0,), tol)
+    best_rho = _subset_rho(a, (0,))
     best = best_rho / 1.0
 
     if n <= exhaustive_limit:
         for idx in _screen(a, max_subset_size):
             if idx == (0,):
                 continue
-            rho = _subset_rho(a, idx, tol)
+            rho = _subset_rho(a, idx)
             bound = rho / len(idx)
             if bound > best + 1e-12 * max(1.0, best):
                 best, best_rho, best_idx = bound, rho, idx
         exhaustive = True
     else:
         current = tuple(range(n))
-        rho = _subset_rho(a, current, tol)
+        rho = _subset_rho(a, current)
         if len(current) <= max_subset_size:
             best, best_rho, best_idx = rho / len(current), rho, current
         while len(current) > 1:
             step_best = None
             for drop in current:
                 cand = tuple(i for i in current if i != drop)
-                rho = _subset_rho(a, cand, tol)
+                rho = _subset_rho(a, cand)
                 bound = rho / len(cand)
                 if step_best is None or bound > step_best[0] + 1e-12 * max(1.0, step_best[0]):
                     step_best = (bound, rho, cand)

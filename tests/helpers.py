@@ -2,17 +2,37 @@
 
 These deliberately avoid the production code paths: cycle enumeration is
 plain itertools search, the spectral oracle goes through characteristic
-polynomial roots, and the subset-bound oracle runs the power iteration on
-every subset where the library screens them with batched eigenvalues.
+polynomial roots, the subset-bound oracle runs ``spectral_radius`` on every
+subset where the library screens them with batched eigenvalues, and the
+scaling-bound oracle bisects with Bellman-Ford where the library runs Karp's
+mean-cycle recursion.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, permutations
 
 import numpy as np
 
-from nu_analyzer import SubsetBound, nubar_exact, spectral_radius
+from nu_analyzer import (
+    NubarResult,
+    ScalingVector,
+    SubsetBound,
+    certify_optimality,
+    is_balanced,
+    nubar_exact,
+    spectral_radius,
+)
+from nu_analyzer._graph import has_cycle, support_adjacency
+from nu_analyzer.magnitude import as_array
+from nu_analyzer.nubar import (
+    NEG,
+    _acyclic_scaling,
+    _cycle_in_tight_graph,
+    _log_weights,
+    _tight_arcs,
+)
 
 
 def enum_max_cycle_mean(a: np.ndarray) -> float:
@@ -46,7 +66,8 @@ def enum_max_cycle_mean(a: np.ndarray) -> float:
 
 def char_poly_rho(a: np.ndarray) -> float:
     """Spectral radius via characteristic polynomial roots (companion-matrix
-    eigensolve through numpy.roots); independent of the power iteration."""
+    eigensolve through numpy.roots), on the whole matrix where the library
+    solves each strongly connected component directly."""
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     coeffs = [1.0]
@@ -60,29 +81,84 @@ def char_poly_rho(a: np.ndarray) -> float:
     return float(np.abs(roots).max()) if roots.size else 0.0
 
 
-def enum_subset_bound(a: np.ndarray, max_subset_size: int | None = None, tol: float = 1e-10) -> SubsetBound:
+def enum_subset_bound(a: np.ndarray, max_subset_size: int | None = None) -> SubsetBound:
     """Exhaustive subset lower bound with spectral_radius on every subset.
 
     Same enumeration order, tie margin and (1,) incumbent as the production
-    search, so on inputs where the power iteration is accurate the two agree
-    field for field. Exponential cost; intended for n <= 9.
+    search, which confirms its screened subsets with the same
+    ``spectral_radius``, so the two agree field for field. Exponential cost;
+    intended for n <= 9.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if max_subset_size is None:
         max_subset_size = n
     best_idx = (0,)
-    best_rho = spectral_radius(a[:1, :1], tol=tol).rho
+    best_rho = spectral_radius(a[:1, :1]).rho
     best = best_rho
     for size in range(1, max_subset_size + 1):
         for idx in combinations(range(n), size):
             if idx == (0,):
                 continue
-            rho = spectral_radius(a[np.ix_(idx, idx)], tol=tol).rho
+            rho = spectral_radius(a[np.ix_(idx, idx)]).rho
             bound = rho / size
             if bound > best + 1e-12 * max(1.0, best):
                 best, best_rho, best_idx = bound, rho, idx
     return SubsetBound(tuple(i + 1 for i in best_idx), best_rho, best, True)
+
+
+def nubar_lp(M, tol_log: float = 1e-10) -> NubarResult:
+    """Independent solver for the scaling bound ``nubar``.
+
+    Bisects the objective level; a level is feasible exactly when the graph
+    with arc costs level - log(M_ij) has no negative cycle, which n rounds of
+    Bellman-Ford relaxation detect. Kept free of the mean-cycle machinery on
+    purpose.
+    """
+    a = as_array(M)
+    n = a.shape[0]
+    if not has_cycle(n, support_adjacency(a)):
+        d = _acyclic_scaling(a)
+        sv = ScalingVector(d)
+        return NubarResult(0.0, sv, (), certify_optimality(a, d), is_balanced(a, d))
+    w = _log_weights(a)
+    arcs = w > NEG
+
+    def feasible(level: float) -> np.ndarray | None:
+        cost = np.where(arcs, level - w, np.inf)
+        dist = np.zeros(n)
+        for _ in range(n):
+            dist = np.minimum(dist, (dist[:, None] + cost).min(axis=0))
+        if ((dist[:, None] + cost).min(axis=0) < dist - 1e-15).any():
+            return None
+        return dist
+
+    lo = float(w[arcs].min()) - 1.0
+    hi = float(w[arcs].max()) + 1.0
+    while hi - lo > tol_log:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid) is not None:
+            hi = mid
+        else:
+            lo = mid
+    dist = feasible(hi)
+    beta = -dist
+    d = np.exp(beta - beta.max())
+    gamma = 0.5 * (lo + hi)
+    value = math.exp(gamma)
+    cycle = ()
+    for tol in (max(1e-8, 100 * n * tol_log), 1e-6, 1e-4):
+        cycle = _cycle_in_tight_graph(_tight_arcs(w, gamma, beta, tol))
+        if cycle:
+            break
+    sv = ScalingVector(d)
+    return NubarResult(
+        value,
+        sv,
+        tuple(i + 1 for i in cycle),
+        certify_optimality(a, d),
+        is_balanced(a, d),
+    )
 
 
 def nubar_scaled(a: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ from nu_analyzer import (
     nu_lower_bound,
     nu_oracle,
     nubar_exact,
-    nubar_lp,
     phi_view,
     ring_matrix,
     spectral_radius,
@@ -27,7 +26,7 @@ from nu_analyzer import (
 from nu_analyzer.balancer import run_trials, trial_matrix
 from nu_analyzer.cli import grid_records
 
-from helpers import enum_max_cycle_mean, mixed_corpus, positive_diagonal
+from helpers import enum_max_cycle_mean, mixed_corpus, nubar_lp, positive_diagonal
 
 ARTIFACT_DIR = Path(__file__).parent / "_artifacts"
 

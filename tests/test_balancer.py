@@ -86,10 +86,6 @@ class TestHeuristicBalance:
                     f"{trace.objective} vs {opt}"
                 )
 
-    def test_asynchronous_mode_also_converges(self):
-        trace = heuristic_balance(OSC, theta=1.0, max_iter=100, tol=1e-9, asynchronous=True)
-        assert trace.objective <= 0.5 * (1 + 1e-6)
-
 
 class TestStudy:
     def test_single_trial_deterministic(self):

@@ -9,12 +9,11 @@ from nu_analyzer import (
     nu_lower_bound,
     nu_oracle,
     nubar_exact,
-    nubar_lp,
     phi_view,
     ring_matrix,
 )
 
-from helpers import enum_max_cycle_mean, mixed_corpus, positive_diagonal
+from helpers import enum_max_cycle_mean, mixed_corpus, nubar_lp, positive_diagonal
 
 
 class TestNubarExact:

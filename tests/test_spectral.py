@@ -26,7 +26,6 @@ class TestSpectralRadius:
     def test_identity(self):
         r = spectral_radius(np.eye(4))
         assert r.rho == pytest.approx(1.0, rel=1e-10)
-        assert r.converged
 
     def test_permutation_2x2(self):
         r = spectral_radius([[0.0, 1.0], [1.0, 0.0]])
@@ -38,19 +37,13 @@ class TestSpectralRadius:
         assert r.rho == pytest.approx(1.5, rel=1e-10)
 
     def test_periodic_weighted(self):
-        # period-2 support; needs the escalated shift to converge
+        # period-2 support: eigenvalues +2 and -2 share the top modulus
         r = spectral_radius([[0.0, 4.0], [1.0, 0.0]])
         assert r.rho == pytest.approx(2.0, rel=1e-9)
-        assert r.converged
 
     def test_nilpotent(self):
         r = spectral_radius(np.triu(np.ones((4, 4)), 1))
-        assert r.rho == 0.0 and r.converged
-
-    def test_perron_vector_normalized(self):
-        r = spectral_radius([[0.2, 0.7], [0.9, 0.1]])
-        assert r.right_vector.max() == pytest.approx(1.0)
-        assert np.all(r.right_vector >= 0)
+        assert r.rho == 0.0
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
@@ -67,9 +60,24 @@ class TestSpectralRadius:
         rng = np.random.default_rng(4)
         m = rng.random((5, 5))
         a = 3.7
-        r1 = spectral_radius(m, tol=1e-11)
-        r2 = spectral_radius(a * m, tol=1e-11)
+        r1 = spectral_radius(m)
+        r2 = spectral_radius(a * m)
         assert r2.rho == pytest.approx(a * r1.rho, rel=1e-10)
+
+    def test_repeated_root_across_components(self):
+        # permuted [[B, C], [0, B]]: rho(B) is a defective eigenvalue of the
+        # whole matrix, which a whole-matrix eigvals misses by up to 2e-8
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            b, c = rng.random((3, 3)), rng.random((3, 3))
+            m = np.block([[b, c], [np.zeros((3, 3)), b]])
+            perm = rng.permutation(6)
+            rho_b = float(np.abs(np.linalg.eigvals(b)).max())
+            assert spectral_radius(m[np.ix_(perm, perm)]).rho == pytest.approx(rho_b, rel=1e-12)
+
+    def test_wide_range_triangular(self):
+        r = spectral_radius([[0.0, 2e43], [0.0, 3.9e-64]])
+        assert r.rho == pytest.approx(3.9e-64, rel=1e-12)
 
     def test_similarity_invariance(self):
         rng = np.random.default_rng(5)
@@ -77,6 +85,39 @@ class TestSpectralRadius:
         d = positive_diagonal(rng, 6)
         scaled = m * d[:, None] / d[None, :]
         assert spectral_radius(scaled).rho == pytest.approx(spectral_radius(m).rho, rel=1e-9)
+
+
+def _wide_range_matrices(count: int):
+    """Sparse matrices with n in 7..59; every third one has its entries spread
+    by exp(U(-20, 20))."""
+    rng = np.random.default_rng(7)
+    for trial in range(count):
+        n = int(rng.integers(7, 60))
+        density = rng.uniform(0.03, 0.5)
+        m = rng.random((n, n)) * (rng.random((n, n)) < density)
+        if trial % 3 == 0:
+            m = m * np.exp(rng.uniform(-20, 20, (n, n)))
+        yield trial, m
+
+
+class TestWideRangeFuzz:
+    def test_mu_matches_eigvals_of_scaled_matrix(self):
+        for _, m in _wide_range_matrices(400):
+            rho = mu(m)
+            nubar = nubar_exact(m).value
+            if nubar == 0.0:
+                assert rho == 0.0  # acyclic support: nilpotent
+                continue
+            assert nubar <= rho * (1 + 1e-12)
+            ref = float(np.abs(np.linalg.eigvals(nubar_scaled(m))).max())
+            assert rho == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "trial, expected", [(211, 0.9576113951516658), (228, 0.014098258886079521)]
+    )
+    def test_pinned_trials(self, trial, expected):
+        m = next(m for t, m in _wide_range_matrices(trial + 1) if t == trial)
+        assert mu(m) == pytest.approx(expected, rel=1e-12)
 
 
 class TestMu:
@@ -184,9 +225,7 @@ class TestSubsetScreen:
             m = _fuzz_matrix(rng, kind, n)
             b = nu_lower_bound(m)
             assert b.exhaustive
-            if kind != "wide":
-                # the power iteration is exact enough here for field equality
-                assert b == enum_subset_bound(m)
+            assert b == enum_subset_bound(m)
             if b.bound > 0:
                 _assert_reaches_eig_max(m, b, n)
             else:
