@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -149,15 +148,6 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-def _threads(value: int) -> int:
-    if value == 0:
-        env = os.environ.get("NU_ANALYZER_THREADS", "")
-        if env.isdigit() and int(env) > 0:
-            return int(env)
-        return os.cpu_count() or 1
-    return value
-
-
 def _cmd_analyze(args) -> int:
     m = _load_matrix(args.path)
     report = build_report(m, subset_max=args.subset_max, oracle=args.oracle)
@@ -204,6 +194,8 @@ def _cmd_grid2x2(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.threads:
+        log.info("--threads is ignored; trials run serially")
     thetas = [float(t) for t in args.thetas.split(",")]
     if args.mode == "tol":
         ns = [int(v) for v in args.ns.split(",")] if args.ns else [128]
@@ -224,7 +216,6 @@ def _cmd_bench(args) -> int:
         max_iter=args.max_iter,
         dist=args.dist,
         density=args.density,
-        threads=_threads(args.threads),
     )
     if args.out:
         write_study(rows, args.out)
@@ -296,7 +287,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", choices=["uniform", "sparse"], default="uniform")
     p.add_argument("--density", type=float, default=0.25)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=0, help="0 = auto (NU_ANALYZER_THREADS or cpu count)")
+    p.add_argument("--threads", type=int, default=0, help="accepted for old command lines and ignored; trials run serially")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bench)
 

@@ -5,7 +5,9 @@ plain itertools search, the spectral oracle goes through characteristic
 polynomial roots, the subset-bound oracle runs ``spectral_radius`` on every
 subset where the library screens them with batched eigenvalues, and the
 scaling-bound oracle bisects with Bellman-Ford where the library runs Karp's
-mean-cycle recursion.
+mean-cycle recursion. The balancing oracle recomputes the heuristic's
+objective with a full n x n pass per update, where the library reads it off
+the column maxima of the next update.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from nu_analyzer import (
     spectral_radius,
 )
 from nu_analyzer._graph import has_cycle, support_adjacency
+from nu_analyzer.balancer import BalanceStep, BalanceTrace
 from nu_analyzer.magnitude import as_array
 from nu_analyzer.nubar import (
     NEG,
@@ -188,6 +191,47 @@ def eig_subset_max(scaled: np.ndarray, max_subset_size: int) -> float:
         ev = np.linalg.eigvals(scaled[idx[:, :, None], idx[:, None, :]])
         best = max(best, float(np.abs(ev).max()) / size)
     return best
+
+
+def _objective(a: np.ndarray, d: np.ndarray) -> float:
+    return float((a * d[:, None] / d[None, :]).max())
+
+
+def ref_heuristic_balance(
+    a: np.ndarray, theta: float, max_iter: int, tol: float
+) -> BalanceTrace:
+    """heuristic_balance with the objective taken over the whole scaled matrix."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    a0 = a.copy()
+    np.fill_diagonal(a0, 0.0)
+
+    d = np.ones(n)
+    steps = [BalanceStep(1, d.copy(), _objective(a, d), float("inf"))]
+    converged = False
+    oscillating = False
+    for t in range(2, max_iter + 2):
+        prev = steps[-1]
+        num = (a0 * d[:, None]).max(axis=0)
+        den = (a0 / d[None, :]).max(axis=1)
+        ok = (num > 0) & (den > 0)
+        ratio = np.where(ok, np.sqrt(np.where(ok, num, 1.0)) / np.sqrt(np.where(ok, den, 1.0)), d)
+        dn = (1.0 - theta) * d + theta * ratio
+        obj = _objective(a, dn)
+        rel = abs(obj - prev.objective) / max(prev.objective, 1e-300)
+        steps.append(BalanceStep(t, dn.copy(), obj, rel))
+        if len(steps) >= 3:
+            back2 = steps[-3].d
+            close2 = np.abs(dn - back2).max() <= 1e-9 * max(back2.max(), 1e-300)
+            close1 = np.abs(dn - d).max() <= 1e-9 * max(d.max(), 1e-300)
+            if close2 and not close1:
+                oscillating = True
+        d_settled = np.abs(dn - d).max() <= tol * max(d.max(), 1e-300)
+        d = dn
+        if rel <= tol and d_settled and not oscillating:
+            converged = True
+            break
+    return BalanceTrace(steps, converged, oscillating, d)
 
 
 def dense_matrix(rng: np.random.Generator, n: int) -> np.ndarray:

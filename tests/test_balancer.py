@@ -1,6 +1,8 @@
+import warnings
+from dataclasses import astuple
+
 import numpy as np
 import pytest
-import warnings
 
 from nu_analyzer import (
     ValidationError,
@@ -10,6 +12,8 @@ from nu_analyzer import (
     run_trials,
     trial_matrix,
 )
+
+from helpers import ref_heuristic_balance
 
 
 OSC = np.array([[0.0, 1.0], [0.25, 0.0]])  # two-cycle with x = 0.5
@@ -87,6 +91,63 @@ class TestHeuristicBalance:
                 )
 
 
+def _fuzz_matrices(seed: int, count: int):
+    """Dense, sparse and exp(U(-20, 20))-wide matrices, n = 1..59, some with
+    zero rows and columns, each paired with a step parameter."""
+    rng = np.random.default_rng(seed)
+    thetas = (0.2, 0.5, 0.9, 1.0)
+    for k in range(count):
+        n = 1 if k % 50 == 0 else int(rng.integers(1, 60))
+        m = rng.random((n, n))
+        if k % 4 in (1, 3):
+            m *= rng.random((n, n)) < rng.uniform(0.03, 0.5)
+        if k % 4 >= 2:
+            m *= np.exp(rng.uniform(-20, 20, (n, n)))
+        if k % 5 == 0:
+            m[rng.random(n) < 0.2, :] = 0.0
+            m[:, rng.random(n) < 0.2] = 0.0
+        yield m, thetas[(k // 4) % 4]
+
+
+class TestFusedObjective:
+    """The objective read off the update's column maxima must equal, bit for
+    bit, the objective of a full pass over the scaled matrix."""
+
+    @staticmethod
+    def assert_same_trace(m, theta, max_iter=80, tol=1e-8):
+        got = heuristic_balance(m, theta=theta, max_iter=max_iter, tol=tol)
+        ref = ref_heuristic_balance(m, theta, max_iter, tol)
+        assert got.converged == ref.converged
+        assert got.oscillating == ref.oscillating
+        np.testing.assert_array_equal(got.final, ref.final)
+        assert len(got.iterations) == len(ref.iterations)
+        for g, r in zip(got.iterations, ref.iterations):
+            assert g.t == r.t
+            np.testing.assert_array_equal(g.d, r.d)
+            assert g.objective == r.objective
+            assert g.rel_change == r.rel_change
+
+    def test_fuzz_against_full_pass(self):
+        for m, theta in _fuzz_matrices(seed=41, count=600):
+            self.assert_same_trace(m, theta)
+
+    def test_edge_cases(self):
+        zero_line = np.arange(1.0, 17.0).reshape(4, 4)
+        zero_line[1, :] = 0.0
+        zero_line[:, 2] = 0.0
+        cases = [
+            np.array([[0.7]]),
+            np.zeros((1, 1)),
+            np.zeros((3, 3)),
+            zero_line,
+            np.diag([3.0, 0.5, 2.0]),
+            OSC,
+        ]
+        for m in cases:
+            for theta in (0.2, 0.5, 0.9, 1.0):
+                self.assert_same_trace(m, theta)
+
+
 class TestStudy:
     def test_single_trial_deterministic(self):
         r1 = run_trials(n=2, trials=1, theta=0.5, stop_tol=1e-3, seed=42)
@@ -113,9 +174,46 @@ class TestStudy:
         counts = [by_tol[t].max_iters for t in tols]
         assert counts == sorted(counts)
 
-    def test_threaded_study_matches_serial(self):
-        kwargs = dict(ns=[4], trials=6, thetas=[0.4], tol_grid=[1e-2], seed=3)
-        assert convergence_study(**kwargs) == convergence_study(**kwargs, threads=4)
+    # (n, theta, tol, max_iters, median_iters, failures), recorded when each
+    # update still took the objective from a full n x n pass and each trial
+    # also solved nubar_exact
+    PINNED_ROWS = {
+        "uniform": [
+            (4, 0.4, 0.1, 2, 1, 0),
+            (4, 0.4, 0.001, 9, 3, 0),
+            (4, 0.4, 1e-06, 23, 3, 0),
+            (4, 1.0, 0.1, 1, 1, 0),
+            (4, 1.0, 0.001, 16, 3, 0),
+            (4, 1.0, 1e-06, 49, 3, 0),
+            (16, 0.4, 0.1, 1, 1, 0),
+            (16, 0.4, 0.001, 8, 5, 0),
+            (16, 0.4, 1e-06, 23, 11, 0),
+            (16, 1.0, 0.1, 1, 1, 0),
+            (16, 1.0, 0.001, 6, 4, 0),
+            (16, 1.0, 1e-06, 15, 7, 0),
+        ],
+        "sparse": [
+            (4, 0.4, 0.1, 4, 1, 0),
+            (4, 0.4, 0.001, 39, 1, 0),
+            (4, 0.4, 1e-06, 95, 1, 0),
+            (4, 1.0, 0.1, 5, 1, 0),
+            (4, 1.0, 0.001, 17, 1, 0),
+            (4, 1.0, 1e-06, 37, 1, 0),
+            (16, 0.4, 0.1, 1, 1, 0),
+            (16, 0.4, 0.001, 8, 4, 0),
+            (16, 0.4, 1e-06, 22, 8, 0),
+            (16, 1.0, 0.1, 1, 1, 0),
+            (16, 1.0, 0.001, 3, 2, 0),
+            (16, 1.0, 1e-06, 3, 2, 0),
+        ],
+    }
+
+    def test_study_rows_pinned(self):
+        for dist, expected in self.PINNED_ROWS.items():
+            rows = convergence_study(
+                ns=[4, 16], trials=3, thetas=[0.4, 1.0], tol_grid=[1e-1, 1e-3, 1e-6], dist=dist
+            )
+            assert [astuple(r) for r in rows] == expected, dist
 
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):

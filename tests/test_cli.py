@@ -152,6 +152,16 @@ class TestBench:
         header = p1.read_text().splitlines()[0]
         assert header == "n,theta,tol,max_iters,median_iters,failures"
 
+    def test_threads_flag_is_ignored_with_a_log_line(self, capsys):
+        args = ["bench", "--trials", "1", "--thetas", "0.5", "--ns", "3", "--tols", "0.01"]
+        line = "INFO: --threads is ignored; trials run serially"
+        code, out, err = run_cli(capsys, *args, "--threads", "3")
+        assert code == 0
+        assert err.splitlines().count(line) == 1
+        code, out_default, err = run_cli(capsys, *args)
+        assert code == 0 and out_default == out
+        assert line not in err
+
 
 class TestRing:
     def test_ring_report(self, capsys):
