@@ -1,8 +1,11 @@
 """Directed-graph utilities shared by the analysis modules.
 
-Graphs are given as adjacency lists over nodes 0..n-1. Everything here is
-deterministic: neighbor lists are processed in sorted order and strongly
-connected components come out in a fixed order.
+The graph of a matrix is its support graph: an arc i -> j wherever entry
+(i, j) is positive. Tarjan's search and the condensation order take
+adjacency lists over nodes 0..n-1; ``cyclic_components`` takes the matrix
+and is the one place that decides which components carry a cycle.
+Everything here is deterministic: neighbor lists are processed in sorted
+order and strongly connected components come out in a fixed order.
 """
 
 from __future__ import annotations
@@ -11,8 +14,16 @@ import numpy as np
 
 
 def support_adjacency(a: np.ndarray) -> list[list[int]]:
-    """Adjacency lists of the support graph: an arc i -> j wherever a[i, j] > 0."""
-    return [list(np.nonzero(a[i] > 0)[0]) for i in range(a.shape[0])]
+    """Adjacency lists of the support graph: an arc i -> j wherever a[i, j] > 0.
+
+    One nonzero pass over the whole matrix, split at the row ends: cheaper
+    than a pass per row, and the lists hold Python ints, which Tarjan's
+    search indexes faster than NumPy scalars.
+    """
+    pos = a > 0
+    cols = np.nonzero(pos)[1].tolist()
+    ends = np.cumsum(pos.sum(axis=1)).tolist()
+    return [cols[s:e] for s, e in zip([0, *ends], ends)]
 
 
 def strongly_connected_components(n: int, adj: list[list[int]]) -> list[list[int]]:
@@ -81,12 +92,12 @@ def condensation_topological_order(
     return comps, comp_of
 
 
-def has_cycle(n: int, adj: list[list[int]]) -> bool:
-    """True if the graph contains any directed cycle (self-loops included)."""
-    for v in range(n):
-        if v in adj[v]:
-            return True
-    for comp in strongly_connected_components(n, adj):
-        if len(comp) > 1:
-            return True
-    return False
+def cyclic_components(a: np.ndarray) -> list[list[int]]:
+    """Strongly connected components of the support graph that carry a cycle:
+    more than one node, or a self-loop. In the order of
+    ``strongly_connected_components``."""
+    return [
+        comp
+        for comp in strongly_connected_components(a.shape[0], support_adjacency(a))
+        if len(comp) > 1 or a[comp[0], comp[0]] > 0
+    ]

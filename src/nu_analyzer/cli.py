@@ -18,7 +18,6 @@ import numpy as np
 from . import __version__
 from .balancer import convergence_study, heuristic_balance
 from .errors import ValidationError
-from ._graph import has_cycle, support_adjacency
 from .magnitude import MagnitudeMatrix, as_array, magnitude_matrix
 from .nu_exact import (
     METHOD_RING,
@@ -30,22 +29,19 @@ from .nu_exact import (
 )
 from .nubar import balanced_solution, nubar_exact
 from .report_io import (
-    GRID_FIELDS,
-    STUDY_FIELDS,
     Grid2x2Record,
     NuSummary,
     ReportDiagnostics,
     ReportRatios,
     RobustnessReport,
     SubsetSummary,
+    grid_csv,
     grid_plot_script,
     read_matrix,
     read_system,
     report_json,
+    study_csv,
     study_plot_script,
-    write_grid,
-    write_report,
-    write_study,
     write_trace,
 )
 from .spectral import nu_lower_bound, spectral_radius
@@ -83,23 +79,29 @@ def build_report(
             witness=tuple(float(v) for v in nu_result.witness_delta),
         )
 
-    acyclic = not has_cycle(n, support_adjacency(a))
+    # nubar is exactly zero only on acyclic support: on a cycle it is a
+    # geometric mean of positive entries, at least the smallest of them
+    acyclic = bal.value == 0.0
     diag_max = bool(bal.value > 0 and float(np.diag(a).max()) >= bal.value * (1 - 1e-9))
     ratios = ReportRatios(
         nubar_over_nu_lower=(bal.value / lower.bound) if lower.bound > 0 else None,
         mu_over_nubar=(rad.rho / bal.value) if bal.value > 0 else None,
     )
-    return RobustnessReport(
-        n=n,
-        mu=rad.rho,
-        nubar=bal.value,
-        nubar_scaling=tuple(float(v) for v in bal.scaling.d),
-        nubar_certified=bal.certified,
-        nu_lower=SubsetSummary(bound=lower.bound, indices=lower.indices, exhaustive=lower.exhaustive),
-        nu_exact=nu_summary,
-        ratios=ratios,
-        diagnostics=ReportDiagnostics(diagonally_maximal=diag_max, acyclic=acyclic),
-    )
+    try:
+        return RobustnessReport(
+            n=n,
+            mu=rad.rho,
+            nubar=bal.value,
+            nubar_scaling=tuple(float(v) for v in bal.scaling.d),
+            nubar_certified=bal.certified,
+            nu_lower=SubsetSummary(bound=lower.bound, indices=lower.indices, exhaustive=lower.exhaustive),
+            nu_exact=nu_summary,
+            ratios=ratios,
+            diagnostics=ReportDiagnostics(diagonally_maximal=diag_max, acyclic=acyclic),
+        )
+    except ValidationError as exc:
+        # the input was valid, so a broken measure chain is a solver fault
+        raise RuntimeError(str(exc)) from exc
 
 
 def grid_records(steps: int) -> list[Grid2x2Record]:
@@ -151,11 +153,9 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_analyze(args) -> int:
     m = _load_matrix(args.path)
     report = build_report(m, subset_max=args.subset_max, oracle=args.oracle)
+    _emit(report_json(report), args.out)
     if args.out:
-        write_report(report, args.out)
         log.info("report written to %s", args.out)
-    else:
-        print(report_json(report))
     return 0
 
 
@@ -181,15 +181,10 @@ def _cmd_balance(args) -> int:
 
 
 def _cmd_grid2x2(args) -> int:
-    records = grid_records(args.steps)
+    _emit(grid_csv(grid_records(args.steps)), args.out)
     if args.out:
-        write_grid(records, args.out)
         Path(args.out).with_suffix(".gp").write_text(grid_plot_script(args.out) + "\n")
         log.info("grid written to %s", args.out)
-    else:
-        print(",".join(GRID_FIELDS))
-        for r in records:
-            print(",".join(repr(float(getattr(r, f))) for f in GRID_FIELDS))
     return 0
 
 
@@ -217,14 +212,10 @@ def _cmd_bench(args) -> int:
         dist=args.dist,
         density=args.density,
     )
+    _emit(study_csv(rows), args.out)
     if args.out:
-        write_study(rows, args.out)
         Path(args.out).with_suffix(".gp").write_text(study_plot_script(args.out) + "\n")
         log.info("study written to %s", args.out)
-    else:
-        print(",".join(STUDY_FIELDS))
-        for r in rows:
-            print(f"{r.n},{r.theta!r},{r.tol!r},{r.max_iters},{r.median_iters},{r.failures}")
     return 0
 
 
@@ -241,10 +232,7 @@ def _cmd_ring(args) -> int:
     m = ring_matrix(weights)
     report = build_report(m, nu_result=nu_ring(weights))
     assert report.nu_exact is not None and report.nu_exact.method == METHOD_RING
-    if args.out:
-        write_report(report, args.out)
-    else:
-        print(report_json(report))
+    _emit(report_json(report), args.out)
     return 0
 
 
@@ -312,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         log.error("%s", exc)
         return 2
-    except Exception:  # pragma: no cover - defensive
+    except Exception:
         log.exception("internal error")
         return 1
 

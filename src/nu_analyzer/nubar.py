@@ -17,11 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._graph import (
-    condensation_topological_order,
-    strongly_connected_components,
-    support_adjacency,
-)
+from ._graph import condensation_topological_order, cyclic_components, support_adjacency
 from .errors import ValidationError
 from .magnitude import as_array
 
@@ -69,13 +65,17 @@ class PhiView:
     feasible: bool
 
 
+def _scaling_for(a: np.ndarray, d) -> ScalingVector:
+    """``d`` as a ScalingVector, checked against the size of ``a``."""
+    sv = d if isinstance(d, ScalingVector) else ScalingVector(d)
+    if sv.d.shape != (a.shape[0],):
+        raise ValidationError(f"scaling vector has wrong length {sv.d.shape} for n={a.shape[0]}")
+    return sv
+
+
 def phi_view(M, d) -> PhiView:
     a = as_array(M)
-    dv = np.asarray(getattr(d, "d", d), dtype=float)
-    if dv.shape != (a.shape[0],):
-        raise ValidationError(f"scaling vector has wrong length {dv.shape} for n={a.shape[0]}")
-    if not np.all(np.isfinite(dv)) or np.any(dv < 0):
-        raise ValidationError("scaling weights must be finite and nonnegative")
+    dv = _scaling_for(a, d).d
     pos = a > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = a * dv[:, None] / dv[None, :]
@@ -110,22 +110,6 @@ def _karp_max_mean(w: np.ndarray) -> float:
     return float(per_node[valid].max())
 
 
-def _max_cycle_mean(a: np.ndarray) -> float:
-    """Maximum cycle mean over the whole support graph, -inf if acyclic."""
-    n = a.shape[0]
-    adj = support_adjacency(a)
-    w = _log_weights(a)
-    best = NEG
-    for comp in strongly_connected_components(n, adj):
-        if len(comp) == 1:
-            v = comp[0]
-            if a[v, v] > 0:
-                best = max(best, w[v, v])
-            continue
-        best = max(best, _karp_max_mean(w[np.ix_(comp, comp)]))
-    return best
-
-
 def _potentials(w: np.ndarray, lam: float) -> np.ndarray:
     """Longest-path potentials from a super-source under weights w - lam.
 
@@ -146,6 +130,20 @@ def _potentials(w: np.ndarray, lam: float) -> np.ndarray:
     return p
 
 
+def _cycle_mean_potentials(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """The maximum cycle mean lam of the log weights w, and the potentials p.
+
+    lam is the largest Karp mean over the components that carry a cycle; on
+    a one-node self-loop Karp's recursion returns the loop's log weight
+    exactly. None on acyclic support.
+    """
+    w = _log_weights(a)
+    lam = max((_karp_max_mean(w[np.ix_(c, c)]) for c in cyclic_components(a)), default=NEG)
+    if lam == NEG:
+        return None
+    return lam, w, _potentials(w, lam)
+
+
 def _nubar_normalized(a: np.ndarray) -> np.ndarray | None:
     """The matrix under the optimal diagonal similarity, divided by nubar.
 
@@ -156,11 +154,10 @@ def _nubar_normalized(a: np.ndarray) -> np.ndarray | None:
     spectral radius up to the common factor exp(-lam). None on acyclic
     support, where nubar is zero.
     """
-    lam = _max_cycle_mean(a)
-    if lam == NEG:
+    front = _cycle_mean_potentials(a)
+    if front is None:
         return None
-    w = _log_weights(a)
-    p = _potentials(w, lam)
+    lam, w, p = front
     return np.exp(w + p[:, None] - p[None, :] - lam)
 
 
@@ -174,16 +171,14 @@ def _cycle_in_tight_graph(tight: np.ndarray) -> tuple[int, ...]:
     """Deterministic cycle extraction: walk the tight subgraph restricted to
     its strongly connected parts, from the smallest node, always taking the
     smallest successor."""
-    n = tight.shape[0]
-    adj = [list(np.nonzero(tight[i])[0]) for i in range(n)]
+    adj = support_adjacency(tight)
     comp_sets: dict[int, set[int]] = {}
     eligible: list[int] = []
-    for comp in strongly_connected_components(n, adj):
-        if len(comp) > 1 or tight[comp[0], comp[0]]:
-            cs = set(comp)
-            for u in comp:
-                comp_sets[u] = cs
-            eligible.extend(comp)
+    for comp in cyclic_components(tight):
+        cs = set(comp)
+        for u in comp:
+            comp_sets[u] = cs
+        eligible.extend(comp)
     for start in sorted(eligible):
         cs = comp_sets[start]
         pos = {start: 0}
@@ -282,24 +277,28 @@ def nubar_exact(M) -> NubarResult:
     scaling comes from longest-path potentials, which make every scaled entry
     at most the value and the witness cycle tight.
     """
-    a = as_array(M)
-    lam = _max_cycle_mean(a)
-    if lam == NEG:
-        d = _acyclic_scaling(a)
-        sv = ScalingVector(d)
-        return NubarResult(0.0, sv, (), certify_optimality(a, d), is_balanced(a, d))
-    w = _log_weights(a)
-    p = _potentials(w, lam)
-    cycle = _witness_cycle(w, lam, p)
-    value = _cycle_geometric_mean(a, cycle)
-    d = np.exp(p - p.max())
+    return _nubar_result(as_array(M), lambda a, lam, p: np.exp(p - p.max()))
+
+
+def _nubar_result(a: np.ndarray, scaling) -> NubarResult:
+    """The result for the scaling ``scaling(a, lam, p)`` picks from the
+    maximum cycle mean and its potentials, with the value taken along the
+    witness cycle. Acyclic support gets the limit scaling, value 0 and no
+    witness.
+    """
+    front = _cycle_mean_potentials(a)
+    if front is None:
+        cycle, d = (), _acyclic_scaling(a)
+    else:
+        lam, w, p = front
+        cycle, d = _witness_cycle(w, lam, p), scaling(a, lam, p)
     sv = ScalingVector(d)
     return NubarResult(
-        value,
+        _cycle_geometric_mean(a, cycle),
         sv,
         tuple(i + 1 for i in cycle),
-        certify_optimality(a, d),
-        is_balanced(a, d),
+        certify_optimality(a, sv),
+        is_balanced(a, sv),
     )
 
 
@@ -328,12 +327,8 @@ def _max_balance_strong(
         lam = _karp_max_mean(W)
         p = _potentials(W, lam)
         tight = _tight_arcs(W, lam, p, 1e-9)
-        tadj = [list(np.nonzero(tight[i])[0]) for i in range(m)]
-        classes = [
-            comp
-            for comp in strongly_connected_components(m, tadj)
-            if len(comp) > 1 or tight[comp[0], comp[0]]
-        ]
+        tadj = support_adjacency(tight)
+        classes = cyclic_components(tight)
         delta = np.zeros(m)
         class_of = np.full(m, -1)
         for ci, comp in enumerate(classes):
@@ -398,18 +393,13 @@ def balanced_solution(M) -> NubarResult:
     which no cycle is reachable take scaling zero so their arcs vanish, which
     is the only way their outgoing maxima can match an empty incoming side.
     """
-    a = as_array(M)
-    n = a.shape[0]
-    lam_all = _max_cycle_mean(a)
-    if lam_all == NEG:
-        d = _acyclic_scaling(a)
-        sv = ScalingVector(d)
-        return NubarResult(0.0, sv, (), certify_optimality(a, d), is_balanced(a, d))
-    w_full = _log_weights(a)
-    p_full = _potentials(w_full, lam_all)
-    cycle = _witness_cycle(w_full, lam_all, p_full)
-    value = _cycle_geometric_mean(a, cycle)
+    return _nubar_result(as_array(M), _balanced_scaling)
 
+
+def _balanced_scaling(a: np.ndarray, lam_all: float, _p: np.ndarray) -> np.ndarray:
+    """Scaling weights of ``balanced_solution`` on cyclic support, whose
+    maximum cycle mean is ``lam_all``."""
+    n = a.shape[0]
     off = a.copy()
     np.fill_diagonal(off, 0.0)
     adj = support_adjacency(off)
@@ -508,12 +498,4 @@ def balanced_solution(M) -> NubarResult:
                 d_log[u] = 0.0  # sinks and isolated nodes: any positive weight
     finite = np.isfinite(d_log)
     top = d_log[finite].max()
-    d = np.where(finite, np.exp(np.where(finite, d_log, 0.0) - top), 0.0)
-    sv = ScalingVector(d)
-    return NubarResult(
-        value,
-        sv,
-        tuple(i + 1 for i in cycle),
-        certify_optimality(a, d),
-        is_balanced(a, d),
-    )
+    return np.where(finite, np.exp(np.where(finite, d_log, 0.0) - top), 0.0)

@@ -281,20 +281,25 @@ def read_report(path) -> RobustnessReport:
     )
 
 
+def grid_csv(records: list[Grid2x2Record]) -> str:
+    lines = [",".join(_fmt(getattr(r, f)) for f in GRID_FIELDS) for r in records]
+    return "\n".join([",".join(GRID_FIELDS), *lines])
+
+
 def write_grid(records: list[Grid2x2Record], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(GRID_FIELDS) + "\n")
-        for r in records:
-            fh.write(",".join(_fmt(getattr(r, f)) for f in GRID_FIELDS) + "\n")
+    Path(path).write_text(grid_csv(records) + "\n")
+
+
+def study_csv(rows: list[StudyRow]) -> str:
+    lines = [
+        f"{r.n},{_fmt(r.theta)},{_fmt(r.tol)},{r.max_iters},{r.median_iters},{r.failures}"
+        for r in rows
+    ]
+    return "\n".join([",".join(STUDY_FIELDS), *lines])
 
 
 def write_study(rows: list[StudyRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(STUDY_FIELDS) + "\n")
-        for r in rows:
-            fh.write(
-                f"{r.n},{_fmt(r.theta)},{_fmt(r.tol)},{r.max_iters},{r.median_iters},{r.failures}\n"
-            )
+    Path(path).write_text(study_csv(rows) + "\n")
 
 
 def write_trace(trace: BalanceTrace, path) -> None:

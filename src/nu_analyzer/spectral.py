@@ -12,10 +12,10 @@ from itertools import combinations
 
 import numpy as np
 
-from ._graph import strongly_connected_components, support_adjacency
+from ._graph import cyclic_components
 from .errors import ValidationError
 from .magnitude import as_array
-from .nubar import _nubar_normalized
+from .nubar import _nubar_normalized, _scaling_for
 
 # Relative width of the band below the top screened bound inside which
 # subsets are confirmed with spectral_radius. The screen's eigvals call is
@@ -62,9 +62,8 @@ def spectral_radius(M) -> SpectralResult:
     """
     a = as_array(M)
     rho = 0.0
-    for comp in strongly_connected_components(a.shape[0], support_adjacency(a)):
-        if len(comp) > 1 or a[comp[0], comp[0]] > 0:
-            rho = max(rho, float(_perron_roots(a[np.ix_(comp, comp)])))
+    for comp in cyclic_components(a):
+        rho = max(rho, float(_perron_roots(a[np.ix_(comp, comp)])))
     return SpectralResult(rho)
 
 
@@ -80,11 +79,10 @@ def mu(M) -> float:
 def scaled_inf_norm(M, d) -> float:
     """Maximum row sum after the diagonal similarity with weights ``d``."""
     a = as_array(M)
-    dv = np.asarray(getattr(d, "d", d), dtype=float)
-    if dv.shape != (a.shape[0],):
-        raise ValidationError(f"scaling vector has wrong length {dv.shape} for n={a.shape[0]}")
-    if not np.all(np.isfinite(dv)) or np.any(dv <= 0):
+    sv = _scaling_for(a, d)
+    if not sv.strictly_positive:
         raise ValidationError("scaling vector must be strictly positive and finite")
+    dv = sv.d
     return float((a * dv[:, None] / dv[None, :]).sum(axis=1).max())
 
 

@@ -26,7 +26,7 @@ from nu_analyzer import (
     nubar_exact,
     spectral_radius,
 )
-from nu_analyzer._graph import has_cycle, support_adjacency
+from nu_analyzer._graph import cyclic_components
 from nu_analyzer.balancer import BalanceStep, BalanceTrace
 from nu_analyzer.magnitude import as_array
 from nu_analyzer.nubar import (
@@ -120,7 +120,7 @@ def nubar_lp(M, tol_log: float = 1e-10) -> NubarResult:
     """
     a = as_array(M)
     n = a.shape[0]
-    if not has_cycle(n, support_adjacency(a)):
+    if not cyclic_components(a):
         d = _acyclic_scaling(a)
         sv = ScalingVector(d)
         return NubarResult(0.0, sv, (), certify_optimality(a, d), is_balanced(a, d))

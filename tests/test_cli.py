@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from nu_analyzer import read_report, ring_matrix, write_matrix
-from nu_analyzer.cli import grid_records, main
+from nu_analyzer import SpectralResult, read_report, ring_matrix, write_matrix
+from nu_analyzer.cli import build_report, grid_records, main
+
+from helpers import enum_max_cycle_mean, mixed_corpus
 
 
 @pytest.fixture()
@@ -73,6 +75,27 @@ class TestAnalyze:
         assert code == 0
         report = read_report(out_path)
         assert report.nubar == pytest.approx(1.0)
+
+    def test_inconsistent_report_is_internal_error(self, capsys, monkeypatch, ring4_csv):
+        # the input is valid, so a broken measure chain is the program's
+        # fault: exit 1, not the input-validation code 2
+        monkeypatch.setattr("nu_analyzer.cli.spectral_radius", lambda M: SpectralResult(0.0))
+        for argv in (["analyze", ring4_csv], ["ring", "--n", "4"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1
+            assert out == ""
+            assert "inconsistent report" in err
+
+    def test_acyclic_flag_matches_cycle_enumeration(self):
+        rng = np.random.default_rng(23)
+        corpus = mixed_corpus(seed=22, count=40, n_max=6)
+        corpus += [np.triu(rng.random((n, n)), 1) for n in range(2, 7)]
+        flags = []
+        for m in corpus:
+            acyclic = build_report(m).diagnostics.acyclic
+            assert acyclic == (enum_max_cycle_mean(m) == 0.0)
+            flags.append(acyclic)
+        assert True in flags and False in flags
 
 
 class TestBalance:
@@ -182,3 +205,23 @@ class TestRing:
     def test_weight_count_mismatch(self, capsys):
         code, _, err = run_cli(capsys, "ring", "--n", "3", "--weights", "1.0,1.0")
         assert code == 2
+
+
+class TestStdoutMatchesOut:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "RING4"],
+            ["ring", "--weights", "2.0,0.5,1.0"],
+            ["grid2x2", "--steps", "3"],
+            ["bench", "--mode", "size", "--trials", "2", "--thetas", "0.5,1.0", "--ns", "3,4"],
+        ],
+        ids=["analyze", "ring", "grid2x2", "bench"],
+    )
+    def test_same_bytes(self, capsys, tmp_path, ring4_csv, argv):
+        argv = [ring4_csv if a == "RING4" else a for a in argv]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out
+        path = tmp_path / "out.txt"
+        assert run_cli(capsys, *argv, "--out", str(path))[0] == 0
+        assert path.read_bytes() == out.encode()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nu_analyzer import (
+    ValidationError,
     balance_residuals,
     balanced_solution,
     certify_optimality,
@@ -187,7 +188,9 @@ class TestBalancedSolution:
     def test_corpus_balanced_certified_and_value_exact(self):
         for m in mixed_corpus(seed=18, count=80, n_max=7):
             r = balanced_solution(m)
-            assert r.value == pytest.approx(nubar_exact(m).value, rel=1e-9, abs=1e-14)
+            exact = nubar_exact(m)
+            assert r.value == exact.value
+            assert r.witness_cycle == exact.witness_cycle
             assert float(balance_residuals(m, r.scaling.d).max()) <= 1e-8
             if r.value > 0:
                 assert r.certified
@@ -241,3 +244,12 @@ class TestPhiView:
         v = phi_view([[0.0, 1.0], [0.0, 0.0]], [1.0, 0.0])
         assert np.isinf(v.matrix[0, 1])
         assert not v.feasible
+
+    @pytest.mark.parametrize("d", [[1.0, np.nan], [1.0, -0.5]])
+    def test_invalid_weights_rejected(self, d):
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            phi_view([[0.0, 1.0], [1.0, 0.0]], d)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValidationError, match="wrong length"):
+            phi_view([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0, 1.0])

@@ -137,6 +137,16 @@ class TestReportJson:
         with pytest.raises(ValidationError, match="schema"):
             read_report(path)
 
+    def test_inconsistent_chain_rejected(self, tmp_path):
+        report = build_report(np.array([[0.0, 1.0], [0.25, 0.0]]))
+        path = tmp_path / "report.json"
+        write_report(report, path)
+        data = json.loads(path.read_text())
+        data["nu_lower"]["bound"] = 2.0 * data["nubar"]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValidationError, match="inconsistent report"):
+            read_report(path)
+
 
 class TestTables:
     def test_study_csv_header(self, tmp_path):

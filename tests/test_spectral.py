@@ -148,6 +148,14 @@ class TestScaledInfNorm:
         with pytest.raises(ValidationError):
             scaled_inf_norm(np.eye(2), [1.0, 0.0])
 
+    def test_nan_scaling_rejected(self):
+        with pytest.raises(ValidationError):
+            scaled_inf_norm(np.eye(2), [1.0, np.nan])
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValidationError, match="wrong length"):
+            scaled_inf_norm(np.eye(2), [1.0, 1.0, 1.0])
+
     def test_any_scaling_dominates_rho(self):
         rng = np.random.default_rng(6)
         m = rng.random((5, 5))
