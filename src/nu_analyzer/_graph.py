@@ -3,7 +3,9 @@
 The graph of a matrix is its support graph: an arc i -> j wherever entry
 (i, j) is positive. Tarjan's search and the condensation order take
 adjacency lists over nodes 0..n-1; ``cyclic_components`` takes the matrix
-and is the one place that decides which components carry a cycle.
+and is the one place that decides which components carry a cycle. A caller
+that already holds the matrix's ``support_adjacency`` passes it as ``adj``
+so the lists are built once.
 Everything here is deterministic: neighbor lists are processed in sorted
 order and strongly connected components come out in a fixed order.
 """
@@ -92,12 +94,15 @@ def condensation_topological_order(
     return comps, comp_of
 
 
-def cyclic_components(a: np.ndarray) -> list[list[int]]:
+def cyclic_components(a: np.ndarray, adj: list[list[int]] | None = None) -> list[list[int]]:
     """Strongly connected components of the support graph that carry a cycle:
     more than one node, or a self-loop. In the order of
-    ``strongly_connected_components``."""
+    ``strongly_connected_components``. ``adj``, when given, must be
+    ``support_adjacency(a)``."""
+    if adj is None:
+        adj = support_adjacency(a)
     return [
         comp
-        for comp in strongly_connected_components(a.shape[0], support_adjacency(a))
+        for comp in strongly_connected_components(a.shape[0], adj)
         if len(comp) > 1 or a[comp[0], comp[0]] > 0
     ]

@@ -23,7 +23,6 @@ from .spectral import _perron_roots
 METHOD_CLOSED_FORM_2X2 = "closed_form_2x2"
 METHOD_RING = "ring"
 METHOD_ORACLE = "oracle"
-METHOD_LOWER_BOUND_ONLY = "lower_bound_only"
 
 
 @dataclass(frozen=True)

@@ -174,7 +174,7 @@ def _cycle_in_tight_graph(tight: np.ndarray) -> tuple[int, ...]:
     adj = support_adjacency(tight)
     comp_sets: dict[int, set[int]] = {}
     eligible: list[int] = []
-    for comp in cyclic_components(tight):
+    for comp in cyclic_components(tight, adj):
         cs = set(comp)
         for u in comp:
             comp_sets[u] = cs
@@ -275,7 +275,10 @@ def nubar_exact(M) -> NubarResult:
 
     The value is the maximum cycle geometric mean of the support graph; the
     scaling comes from longest-path potentials, which make every scaled entry
-    at most the value and the witness cycle tight.
+    at most the value and the witness cycle tight. On acyclic support the
+    value is 0, which no strictly positive scaling attains; the scaling is
+    then the limit one, zero on every node with an outgoing arc and one on
+    the rest, and ``scaled_inf_norm`` rejects it.
     """
     return _nubar_result(as_array(M), lambda a, lam, p: np.exp(p - p.max()))
 
@@ -302,38 +305,31 @@ def _nubar_result(a: np.ndarray, scaling) -> NubarResult:
     )
 
 
-def _max_balance_strong(
-    nodes: list[int], arcs: list[tuple[int, int, float]]
-) -> tuple[dict[int, float], dict[int, float]]:
+def _max_balance_strong(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact max-balancing of a strongly connected log-weighted digraph.
 
-    Repeatedly pins the maximizing cycles: compute the maximum cycle mean,
-    fix relative scalings along the tight strongly connected classes,
-    contract each class to a single node and recurse on the contracted graph
-    (the next level's mean is strictly smaller). Returns per-node log
-    scalings and the level value at which each node was absorbed.
+    ``w[u, v]`` is the arc weight, -inf where there is no arc. Repeatedly
+    pins the maximizing cycles: compute the maximum cycle mean, fix relative
+    scalings along the tight strongly connected classes, contract each class
+    to a single node and recurse on the contracted graph (the next level's
+    mean is strictly smaller). Returns per-node log scalings and the level
+    value at which each node was absorbed.
     """
-    idx = {u: i for i, u in enumerate(nodes)}
-    members: list[dict[int, float]] = [{u: 0.0} for u in nodes]
-    cur_arcs = [(idx[u], idx[v], wt) for u, v, wt in arcs]
-    level_of: dict[int, float] = {}
-
-    while cur_arcs:
-        m = len(members)
-        W = np.full((m, m), NEG)
-        for u, v, wt in cur_arcs:
-            if wt > W[u, v]:
-                W[u, v] = wt
+    owner = np.arange(w.shape[0])  # contracted node that holds each input node
+    pi = np.zeros(w.shape[0])
+    level = np.full(w.shape[0], NEG)
+    W = w
+    while (W > NEG).any():
         lam = _karp_max_mean(W)
         p = _potentials(W, lam)
         tight = _tight_arcs(W, lam, p, 1e-9)
         tadj = support_adjacency(tight)
-        classes = cyclic_components(tight)
-        delta = np.zeros(m)
-        class_of = np.full(m, -1)
+        classes = cyclic_components(tight, tadj)
+        delta = np.zeros(W.shape[0])
+        new_id = np.full(W.shape[0], -1)
         for ci, comp in enumerate(classes):
             cs = set(comp)
-            class_of[comp] = ci
+            new_id[comp] = ci
             root = comp[0]
             seen = {root}
             queue = deque([root])
@@ -344,43 +340,19 @@ def _max_balance_strong(
                         delta[v] = delta[u] + W[u, v] - lam
                         seen.add(v)
                         queue.append(v)
-        for comp in classes:
-            for i in comp:
-                for orig in members[i]:
-                    level_of.setdefault(orig, lam)
-        new_ids = {}
-        new_members: list[dict[int, float]] = []
-        for comp in classes:
-            nid = len(new_members)
-            merged: dict[int, float] = {}
-            for i in comp:
-                for orig, off in members[i].items():
-                    merged[orig] = off + delta[i]
-            new_members.append(merged)
-            for i in comp:
-                new_ids[i] = nid
-        for i in range(m):
-            if class_of[i] == -1:
-                new_ids[i] = len(new_members)
-                new_members.append(members[i])
-        next_arcs: dict[tuple[int, int], float] = {}
-        for u, v, wt in cur_arcs:
-            if class_of[u] != -1 and class_of[u] == class_of[v]:
-                continue  # pinned inside a class (critical arcs and chords)
-            key = (new_ids[u], new_ids[v])
-            wn = wt + delta[u] - delta[v]
-            if key not in next_arcs or wn > next_arcs[key]:
-                next_arcs[key] = wn
-        members = new_members
-        cur_arcs = [(u, v, wt) for (u, v), wt in next_arcs.items()]
-
-    pi: dict[int, float] = {}
-    for mem in members:
-        for orig, off in mem.items():
-            pi[orig] = off
-    for u in nodes:
-        level_of.setdefault(u, NEG)
-    return pi, level_of
+        level[(level == NEG) & (new_id[owner] >= 0)] = lam
+        rest = np.flatnonzero(new_id < 0)
+        new_id[rest] = len(classes) + np.arange(len(rest))
+        pi += delta[owner]
+        owner = new_id[owner]
+        u, v = np.nonzero(W > NEG)
+        keep = new_id[u] != new_id[v]  # pinned inside a class: critical arcs and chords
+        u, v = u[keep], v[keep]
+        m = len(classes) + len(rest)
+        W_next = np.full((m, m), NEG)
+        np.maximum.at(W_next, (new_id[u], new_id[v]), W[u, v] + delta[u] - delta[v])
+        W = W_next
+    return pi, level
 
 
 def balanced_solution(M) -> NubarResult:
@@ -392,6 +364,7 @@ def balanced_solution(M) -> NubarResult:
     endpoints, and chain nodes are equalized by coordinate sweeps. Nodes from
     which no cycle is reachable take scaling zero so their arcs vanish, which
     is the only way their outgoing maxima can match an empty incoming side.
+    Acyclic support gets the limit scaling of ``nubar_exact``.
     """
     return _nubar_result(as_array(M), _balanced_scaling)
 
@@ -411,15 +384,8 @@ def _balanced_scaling(a: np.ndarray, lam_all: float, _p: np.ndarray) -> np.ndarr
     pi = np.zeros(n)
     level = np.full(n, NEG)
     for bi, comp in enumerate(comps):
-        if not nontrivial[bi]:
-            continue
-        arcs = [
-            (u, v, w_off[u, v]) for u in comp for v in adj[u] if comp_of[v] == bi
-        ]
-        pim, lev = _max_balance_strong(comp, arcs)
-        for u in comp:
-            pi[u] = pim[u]
-            level[u] = lev[u]
+        if nontrivial[bi]:
+            pi[comp], level[comp] = _max_balance_strong(w_off[np.ix_(comp, comp)])
 
     # cross-arc bookkeeping over the condensation
     cross: list[tuple[int, int, int, int]] = []

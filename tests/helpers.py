@@ -7,12 +7,15 @@ subset where the library screens them with batched eigenvalues, and the
 scaling-bound oracle bisects with Bellman-Ford where the library runs Karp's
 mean-cycle recursion. The balancing oracle recomputes the heuristic's
 objective with a full n x n pass per update, where the library reads it off
-the column maxima of the next update.
+the column maxima of the next update. The critical-class contraction
+reference carries its graph as arc tuples and per-node offset dicts, where
+the library contracts weight arrays.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from itertools import combinations, permutations
 
 import numpy as np
@@ -26,14 +29,16 @@ from nu_analyzer import (
     nubar_exact,
     spectral_radius,
 )
-from nu_analyzer._graph import cyclic_components
+from nu_analyzer._graph import cyclic_components, support_adjacency
 from nu_analyzer.balancer import BalanceStep, BalanceTrace
 from nu_analyzer.magnitude import as_array
 from nu_analyzer.nubar import (
     NEG,
     _acyclic_scaling,
     _cycle_in_tight_graph,
+    _karp_max_mean,
     _log_weights,
+    _potentials,
     _tight_arcs,
 )
 
@@ -162,6 +167,82 @@ def nubar_lp(M, tol_log: float = 1e-10) -> NubarResult:
         certify_optimality(a, d),
         is_balanced(a, d),
     )
+
+
+def ref_max_balance_strong(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Critical-class contraction of a strongly connected log-weighted
+    digraph, on arc tuples and per-node offset dicts.
+
+    Same levels, tight classes and BFS offsets as ``nubar._max_balance_strong``,
+    so its log scalings and absorption levels agree bit for bit.
+    """
+    m0 = w.shape[0]
+    members: list[dict[int, float]] = [{u: 0.0} for u in range(m0)]
+    cur_arcs = [(int(u), int(v), w[u, v]) for u, v in zip(*np.nonzero(w > NEG))]
+    level_of: dict[int, float] = {}
+
+    while cur_arcs:
+        m = len(members)
+        W = np.full((m, m), NEG)
+        for u, v, wt in cur_arcs:
+            if wt > W[u, v]:
+                W[u, v] = wt
+        lam = _karp_max_mean(W)
+        p = _potentials(W, lam)
+        tight = _tight_arcs(W, lam, p, 1e-9)
+        tadj = support_adjacency(tight)
+        classes = cyclic_components(tight)
+        delta = np.zeros(m)
+        class_of = np.full(m, -1)
+        for ci, comp in enumerate(classes):
+            cs = set(comp)
+            class_of[comp] = ci
+            root = comp[0]
+            seen = {root}
+            queue = deque([root])
+            while queue:
+                u = queue.popleft()
+                for v in tadj[u]:
+                    if v in cs and v not in seen:
+                        delta[v] = delta[u] + W[u, v] - lam
+                        seen.add(v)
+                        queue.append(v)
+        for comp in classes:
+            for i in comp:
+                for orig in members[i]:
+                    level_of.setdefault(orig, lam)
+        new_ids = {}
+        new_members: list[dict[int, float]] = []
+        for comp in classes:
+            nid = len(new_members)
+            merged: dict[int, float] = {}
+            for i in comp:
+                for orig, off in members[i].items():
+                    merged[orig] = off + delta[i]
+            new_members.append(merged)
+            for i in comp:
+                new_ids[i] = nid
+        for i in range(m):
+            if class_of[i] == -1:
+                new_ids[i] = len(new_members)
+                new_members.append(members[i])
+        next_arcs: dict[tuple[int, int], float] = {}
+        for u, v, wt in cur_arcs:
+            if class_of[u] != -1 and class_of[u] == class_of[v]:
+                continue  # pinned inside a class (critical arcs and chords)
+            key = (new_ids[u], new_ids[v])
+            wn = wt + delta[u] - delta[v]
+            if key not in next_arcs or wn > next_arcs[key]:
+                next_arcs[key] = wn
+        members = new_members
+        cur_arcs = [(u, v, wt) for (u, v), wt in next_arcs.items()]
+
+    pi = np.zeros(m0)
+    for mem in members:
+        for orig, off in mem.items():
+            pi[orig] = off
+    level = np.array([level_of.get(u, NEG) for u in range(m0)])
+    return pi, level
 
 
 def nubar_scaled(a: np.ndarray) -> np.ndarray:

@@ -45,3 +45,4 @@ class TestSupportAdjacency:
         for a in cases:
             expected = [list(np.nonzero(a[i] > 0)[0]) for i in range(a.shape[0])]
             assert support_adjacency(a) == expected
+            assert cyclic_components(a, support_adjacency(a)) == cyclic_components(a)

@@ -12,9 +12,18 @@ from nu_analyzer import (
     nubar_exact,
     phi_view,
     ring_matrix,
+    scaled_inf_norm,
 )
+from nu_analyzer._graph import cyclic_components
+from nu_analyzer.nubar import _log_weights, _max_balance_strong
 
-from helpers import enum_max_cycle_mean, mixed_corpus, nubar_lp, positive_diagonal
+from helpers import (
+    enum_max_cycle_mean,
+    mixed_corpus,
+    nubar_lp,
+    positive_diagonal,
+    ref_max_balance_strong,
+)
 
 
 class TestNubarExact:
@@ -31,11 +40,18 @@ class TestNubarExact:
         assert r.witness_cycle == (1, 2)
 
     def test_acyclic_support_value_zero(self):
-        r = nubar_exact(np.triu(np.ones((4, 4)), 1))
+        # the limit scaling: zero on every node with an outgoing arc, since
+        # no strictly positive scaling attains 0
+        m = np.triu(np.ones((4, 4)), 1)
+        r = nubar_exact(m)
         assert r.value == 0.0
         assert r.certified
         assert not r.scaling.strictly_positive
         assert r.witness_cycle == ()
+        np.testing.assert_array_equal(r.scaling.d, [0.0, 0.0, 0.0, 1.0])
+        assert phi_view(m, r.scaling.d).matrix.max() == 0.0
+        with pytest.raises(ValidationError):
+            scaled_inf_norm(m, r.scaling)
 
     def test_diagonal_matrix_self_loops(self):
         r = nubar_exact(np.diag([0.2, 0.8, 0.5]))
@@ -194,6 +210,34 @@ class TestBalancedSolution:
             assert float(balance_residuals(m, r.scaling.d).max()) <= 1e-8
             if r.value > 0:
                 assert r.certified
+
+    def test_contraction_fuzz_beyond_small_n(self):
+        # dense, sparse and exp(U(-20, 20))-wide at n = 8..64, where the
+        # contraction runs many levels; its log scalings and absorption
+        # levels must match the tuple-and-dict reference bit for bit
+        rng = np.random.default_rng(61)
+        for k in range(120):
+            n = int(rng.integers(8, 65))
+            m = rng.random((n, n))
+            if k % 3 == 1:
+                m *= rng.random((n, n)) < rng.uniform(0.05, 0.5)
+            elif k % 3 == 2:
+                m = np.exp(rng.uniform(-20.0, 20.0, (n, n)))
+            r = balanced_solution(m)
+            exact = nubar_exact(m)
+            assert r.value == exact.value
+            assert r.witness_cycle == exact.witness_cycle
+            assert float(balance_residuals(m, r.scaling.d).max()) <= 1e-8
+            assert r.certified
+            off = m.copy()
+            np.fill_diagonal(off, 0.0)
+            w_off = _log_weights(off)
+            for comp in cyclic_components(off):
+                w = w_off[np.ix_(comp, comp)]
+                pi, level = _max_balance_strong(w)
+                ref_pi, ref_level = ref_max_balance_strong(w)
+                np.testing.assert_array_equal(pi, ref_pi)
+                np.testing.assert_array_equal(level, ref_level)
 
 
 class TestSandwich:
