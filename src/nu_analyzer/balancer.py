@@ -183,6 +183,8 @@ def convergence_study(
         raise ValidationError("study needs at least one n, theta, tolerance and trial")
     if any(t <= 0 for t in tol_grid):
         raise ValidationError("tolerances must be positive")
+    if any(n < 1 for n in ns):
+        raise ValidationError(f"matrix sizes must be at least 1, got {ns}")
     rows: list[StudyRow] = []
     stop_tol = min(tol_grid)
     for n in ns:

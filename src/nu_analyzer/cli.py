@@ -220,6 +220,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_ring(args) -> int:
+    if args.n is not None and args.n < 1:
+        raise ValidationError(f"--n must be at least 1, got {args.n}")
     weights = (
         np.array([float(v) for v in args.weights.split(",")])
         if args.weights

@@ -128,14 +128,18 @@ def _simplex_grid(n: int, grid: int):
         yield np.array(parts, dtype=float) / grid
 
 
-def nu_oracle(M, grid: int | None = None, refine_steps: int = 40) -> NuResult:
+# Divisions per axis of the oracle's coarse simplex grid, by dimension.
+_ORACLE_GRID = {1: 1, 2: 64, 3: 24, 4: 14}
+
+
+def nu_oracle(M) -> NuResult:
     """Brute-force value for matrices up to dimension four.
 
     Maximizes the Perron root of diag(direction) M over the gain simplex:
     by homogeneity the cheapest destabilizing gain along a direction is its
     reciprocal root, so the best direction minimizes the total gain. A coarse
     deterministic grid is followed by per-coordinate refinement with a
-    shrinking window.
+    window halved from one grid step until it is below 1e-8.
     """
     a = as_array(M)
     n = a.shape[0]
@@ -143,8 +147,7 @@ def nu_oracle(M, grid: int | None = None, refine_steps: int = 40) -> NuResult:
         raise ValidationError(
             f"oracle supports n <= 4 (got n={n}); use the spectral and scaling bounds instead"
         )
-    if grid is None:
-        grid = {1: 1, 2: 64, 3: 24, 4: 14}[n]
+    grid = _ORACLE_GRID[n]
     best_dir = None
     best = -1.0
     for direction in _simplex_grid(n, grid):
@@ -152,7 +155,7 @@ def nu_oracle(M, grid: int | None = None, refine_steps: int = 40) -> NuResult:
         if r > best + 1e-15:
             best, best_dir = r, direction
     h = 1.0 / grid
-    for _ in range(refine_steps):
+    while h >= 1e-8:
         improved_dir = best_dir
         for k in range(n):
             lo = max(0.0, best_dir[k] - h)
@@ -169,8 +172,6 @@ def nu_oracle(M, grid: int | None = None, refine_steps: int = 40) -> NuResult:
                     best, improved_dir = r, trial
         best_dir = improved_dir
         h *= 0.5
-        if h < 1e-8:
-            break
     if best <= 0.0:
         return NuResult(0.0, np.zeros(n), METHOD_ORACLE)
     witness = best_dir / best

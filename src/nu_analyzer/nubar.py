@@ -130,35 +130,35 @@ def _potentials(w: np.ndarray, lam: float) -> np.ndarray:
     return p
 
 
-def _cycle_mean_potentials(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | None:
-    """The maximum cycle mean lam of the log weights w, and the potentials p.
-
-    lam is the largest Karp mean over the components that carry a cycle; on
-    a one-node self-loop Karp's recursion returns the loop's log weight
-    exactly. None on acyclic support.
-    """
+def _cycle_mean_potentials(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, list] | None:
+    """The maximum cycle mean lam of the log weights w, the potentials p, and
+    the components that carry a cycle, over which lam is the largest Karp
+    mean (on a one-node self-loop, exactly the loop's log weight). None on
+    acyclic support."""
     w = _log_weights(a)
-    lam = max((_karp_max_mean(w[np.ix_(c, c)]) for c in cyclic_components(a)), default=NEG)
+    comps = cyclic_components(a)
+    lam = max((_karp_max_mean(w[np.ix_(c, c)]) for c in comps), default=NEG)
     if lam == NEG:
         return None
-    return lam, w, _potentials(w, lam)
+    return lam, w, _potentials(w, lam), comps
 
 
-def _nubar_normalized(a: np.ndarray) -> np.ndarray | None:
-    """The matrix under the optimal diagonal similarity, divided by nubar.
+def _nubar_normalized(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], list] | None:
+    """The matrix under the optimal diagonal similarity, divided by nubar,
+    with the witness cycle and the components that carry a cycle.
 
     Entries are exp(log a_ij + p_i - p_j - lam) with p the longest-path
     potentials and lam the maximum cycle mean, formed in the log domain so
     that no entry underflows through the scaling weights. Every entry is at
-    most one up to rounding, and every principal submatrix keeps its
-    spectral radius up to the common factor exp(-lam). None on acyclic
-    support, where nubar is zero.
+    most one up to rounding, those along the witness cycle are one within the
+    tightness tolerance, and every principal submatrix keeps its spectral
+    radius up to the common factor exp(-lam). None on acyclic support.
     """
     front = _cycle_mean_potentials(a)
     if front is None:
         return None
-    lam, w, p = front
-    return np.exp(w + p[:, None] - p[None, :] - lam)
+    lam, w, p, comps = front
+    return np.exp(w + p[:, None] - p[None, :] - lam), _witness_cycle(w, lam, p), comps
 
 
 def _tight_arcs(w: np.ndarray, lam: float, p: np.ndarray, tol: float) -> np.ndarray:
@@ -293,7 +293,7 @@ def _nubar_result(a: np.ndarray, scaling) -> NubarResult:
     if front is None:
         cycle, d = (), _acyclic_scaling(a)
     else:
-        lam, w, p = front
+        lam, w, p, _ = front
         cycle, d = _witness_cycle(w, lam, p), scaling(a, lam, p)
     sv = ScalingVector(d)
     return NubarResult(

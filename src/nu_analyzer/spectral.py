@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -25,6 +26,9 @@ from .nubar import _nubar_normalized, _scaling_for
 # well-conditioned Perron root therefore lands within about 1e-13 of the top
 # value, seven orders of magnitude inside this window.
 _SCREEN_WINDOW = 1e-6
+
+# Most subsets screened by one nu_lower_bound call.
+_SCREEN_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -86,54 +90,59 @@ def scaled_inf_norm(M, d) -> float:
     return float((a * dv[:, None] / dv[None, :]).sum(axis=1).max())
 
 
-def _subset_rho(a: np.ndarray, idx: tuple[int, ...]) -> float:
-    return spectral_radius(a[np.ix_(idx, idx)]).rho
-
-
-def _screen(a: np.ndarray, max_size: int) -> list[tuple[int, ...]]:
+def _screen(a: np.ndarray, max_size: int) -> tuple[list[tuple[int, ...]], bool]:
     """Subsets whose batched-eigvals bound is within _SCREEN_WINDOW of the
-    top one, in enumeration order: by size, then lexicographic."""
-    scaled = _nubar_normalized(a)
-    if scaled is None:
-        return []  # acyclic support: every principal submatrix is nilpotent
+    top one, by size and then lexicographic, then the witness cycle when it
+    was not screened; and whether the screen ended short of the budget."""
+    front = _nubar_normalized(a)
+    if front is None:
+        return [], True  # acyclic support: every principal submatrix is nilpotent
+    scaled, cycle, comps = front
     n = a.shape[0]
-    screened = []
+    rho_norm = max(float(_perron_roots(scaled[np.ix_(c, c)])) for c in comps)
+    witness = tuple(sorted(cycle)) if len(cycle) <= max_size else ()
+    screened, top, total, exhaustive = [], 0.0, 0, True
     for size in range(1, max_size + 1):
+        if top > 0.0 and size > rho_norm / top * (1.0 + 1e-9):
+            break  # rho(M_I) <= rho(M): no subset of this size beats top
+        total += comb(n, size)
+        if total > _SCREEN_BUDGET:
+            exhaustive = False
+            break
         idx = np.array(list(combinations(range(n), size)), dtype=np.intp)
-        stack = scaled[idx[:, :, None], idx[:, None, :]]
-        est = _perron_roots(stack) / size
+        est = _perron_roots(scaled[idx[:, :, None], idx[:, None, :]]) / size
         screened.append((idx, est))
-    top = max(float(est.max()) for _, est in screened)
-    if top == 0.0:
-        return []  # no subset induces a cycle, so none beats the incumbent
-    cut = top * (1.0 - _SCREEN_WINDOW)
-    return [tuple(int(i) for i in row) for idx, est in screened for row in idx[est >= cut]]
+        top = max(top, float(est.max()))
+    # est > 0: a subset that induces no cycle never beats the incumbent
+    keep = [idx[(est >= top * (1.0 - _SCREEN_WINDOW)) & (est > 0.0)] for idx, est in screened]
+    near = [tuple(int(i) for i in row) for rows in keep for row in rows]
+    if len(witness) > len(screened):
+        near.append(witness)
+    return near, exhaustive
 
 
-def nu_lower_bound(
-    M,
-    max_subset_size: int | None = None,
-    exhaustive_limit: int = 16,
-) -> SubsetBound:
-    """Best submatrix lower bound rho(M_I)/|I| over index subsets.
+def nu_lower_bound(M, max_subset_size: int | None = None) -> SubsetBound:
+    """Best submatrix lower bound rho(M_I)/|I| over subsets of at most
+    ``max_subset_size`` nodes.
 
-    Up to ``exhaustive_limit`` nodes every subset of at most
-    ``max_subset_size`` nodes is covered, in two passes. The screen takes
-    the Perron roots of all subsets of one size from a single batched
-    ``np.linalg.eigvals`` call on the stack of principal submatrices. It runs
-    on the matrix scaled by the ``nubar`` potentials and divided by
-    ``nubar``, formed in the log domain: a diagonal similarity leaves every
-    rho(M_I) unchanged, the scaled entries are at most one, and the witness
-    cycle's submatrix has Perron root at least one. So, whenever the size
-    limit admits the witness cycle, the eigensolver's error stays far below
-    the best value even on entries spanning many orders of magnitude. The confirm pass then runs ``spectral_radius`` on
-    the unscaled submatrix of each subset screened within
-    ``_SCREEN_WINDOW`` of the top, and the bound and ``rho_sub`` come from
-    those calls alone.
+    The screen takes the Perron roots of all subsets of one size from a
+    single batched ``np.linalg.eigvals`` call, on the matrix scaled by the
+    ``nubar`` potentials and divided by ``nubar``, formed in the log domain:
+    a diagonal similarity leaves every rho(M_I) unchanged, the scaled entries
+    are at most one, and the witness cycle's submatrix has Perron root at
+    least one. So, whenever the size limit admits the witness cycle, the
+    eigensolver's error stays far below the best value even on entries
+    spanning many orders of magnitude. The confirm pass then runs
+    ``spectral_radius`` on the unscaled submatrix of each subset screened
+    within ``_SCREEN_WINDOW`` of the top, and of the witness cycle if it was
+    not screened; the bound and ``rho_sub`` come from those calls alone.
+    Ties prefer smaller subsets, then lexicographic order.
 
-    Beyond ``exhaustive_limit`` a greedy descent from the full index set is
-    used and the result is marked non-exhaustive. Ties prefer smaller
-    subsets, then lexicographic order.
+    Sizes run upwards from one. Since rho(M_I) <= rho(M), no subset of more
+    than rho(M)/b nodes beats the best screened bound b; past that cap the
+    result is ``exhaustive``. A size that would take the subset count past
+    ``_SCREEN_BUDGET`` = 2^16 ends the screen short, not exhaustive; the sum
+    of C(16, k) over k = 1..16 is 65535, so this never happens at n <= 16.
     """
     a = as_array(M)
     n = a.shape[0]
@@ -145,35 +154,15 @@ def nu_lower_bound(
         )
 
     best_idx: tuple[int, ...] = (0,)
-    best_rho = _subset_rho(a, (0,))
-    best = best_rho / 1.0
-
-    if n <= exhaustive_limit:
-        for idx in _screen(a, max_subset_size):
-            if idx == (0,):
-                continue
-            rho = _subset_rho(a, idx)
-            bound = rho / len(idx)
-            if bound > best + 1e-12 * max(1.0, best):
-                best, best_rho, best_idx = bound, rho, idx
-        exhaustive = True
-    else:
-        current = tuple(range(n))
-        rho = _subset_rho(a, current)
-        if len(current) <= max_subset_size:
-            best, best_rho, best_idx = rho / len(current), rho, current
-        while len(current) > 1:
-            step_best = None
-            for drop in current:
-                cand = tuple(i for i in current if i != drop)
-                rho = _subset_rho(a, cand)
-                bound = rho / len(cand)
-                if step_best is None or bound > step_best[0] + 1e-12 * max(1.0, step_best[0]):
-                    step_best = (bound, rho, cand)
-            bound, rho, current = step_best
-            if len(current) <= max_subset_size and bound > best + 1e-12 * max(1.0, best):
-                best, best_rho, best_idx = bound, rho, current
-        exhaustive = False
+    best = best_rho = spectral_radius(a[:1, :1]).rho
+    candidates, exhaustive = _screen(a, max_subset_size)
+    for idx in candidates:
+        if idx == (0,):
+            continue
+        rho = spectral_radius(a[np.ix_(idx, idx)]).rho
+        bound = rho / len(idx)
+        if bound > best + 1e-12 * max(1.0, best):
+            best, best_rho, best_idx = bound, rho, idx
 
     indices = tuple(i + 1 for i in best_idx)
     return SubsetBound(indices=indices, rho_sub=best_rho, bound=best, exhaustive=exhaustive)

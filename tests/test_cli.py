@@ -185,6 +185,13 @@ class TestBench:
         assert code == 0 and out_default == out
         assert line not in err
 
+    def test_nonpositive_size_is_invalid_input(self, capsys):
+        args = ["bench", "--mode", "size", "--ns", "-2", "--trials", "1", "--thetas", "0.5"]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert "at least 1" in err
+
 
 class TestRing:
     def test_ring_report(self, capsys):
@@ -205,6 +212,12 @@ class TestRing:
     def test_weight_count_mismatch(self, capsys):
         code, _, err = run_cli(capsys, "ring", "--n", "3", "--weights", "1.0,1.0")
         assert code == 2
+
+    def test_nonpositive_n_is_invalid_input(self, capsys):
+        code, out, err = run_cli(capsys, "ring", "--n", "-1")
+        assert code == 2
+        assert out == ""
+        assert "at least 1" in err
 
 
 class TestStdoutMatchesOut:

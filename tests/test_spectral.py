@@ -194,12 +194,29 @@ class TestSubsetLowerBound:
             m = rng.random((n, n)) * (rng.random((n, n)) < 0.7)
             assert nu_lower_bound(m).bound <= nubar_exact(m).value + 1e-9
 
-    def test_greedy_path_used_beyond_limit(self):
-        rng = np.random.default_rng(9)
-        m = rng.random((6, 6))
-        b = nu_lower_bound(m, exhaustive_limit=4)
+    def test_budget_path_beyond_n16(self):
+        # dense n=17: the size cap admits 9 nodes, and sizes 1..9 take more
+        # subsets than the screen's budget
+        m = np.random.default_rng(3).random((17, 17))
+        b = nu_lower_bound(m, max_subset_size=12)
         assert not b.exhaustive
-        assert b.bound <= nubar_exact(m).value + 1e-9
+        nb = nubar_exact(m)
+        cycle = sorted(i - 1 for i in nb.witness_cycle)
+        assert len(cycle) <= 12
+        floor = max(m.diagonal().max(), spectral_radius(m[np.ix_(cycle, cycle)]).rho / len(cycle))
+        assert b.bound >= floor * (1 - 1e-12)  # the confirm pass's tie margin
+        assert b.bound <= nb.value * (1 + 1e-9)
+
+    def test_witness_cycle_beyond_budget_is_confirmed(self):
+        # an 8-node ring inside n=40: the budget ends the screen after size 3
+        rng = np.random.default_rng(10)
+        m = 0.01 * rng.random((40, 40)) * (rng.random((40, 40)) < 0.05)
+        ring = list(range(3, 35, 4))
+        m[ring, np.roll(ring, -1)] = rng.uniform(0.5, 2.0, 8)
+        b = nu_lower_bound(m, max_subset_size=12)
+        assert not b.exhaustive
+        assert b.indices == tuple(i + 1 for i in ring)
+        assert b.bound == spectral_radius(m[np.ix_(ring, ring)]).rho / 8
 
     def test_subset_size_validation(self):
         with pytest.raises(ValidationError):
@@ -264,3 +281,32 @@ class TestSubsetScreen:
         # the per-subset search made about 64k calls here
         assert len(calls) <= 20
         _assert_reaches_eig_max(m, b, 12)
+
+    def test_fuzz_beyond_n16_small_subsets(self):
+        # n 17..20: sizes up to four stay far inside the budget
+        rng = np.random.default_rng(25)
+        for i in range(9):
+            n = int(rng.integers(17, 21))
+            m = _fuzz_matrix(rng, FUZZ_KINDS[i % 3], n)
+            k = int(rng.integers(1, 5))
+            assert nu_lower_bound(m, max_subset_size=k) == enum_subset_bound(m, k)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_fuzz_beyond_n16_matches_eig_max_below_cap(self, wide):
+        # a subset of s nodes has bound at most mu/s, so sizes past
+        # floor(mu/bound) cannot beat the bound found
+        rng = np.random.default_rng(26 + wide)
+        checked = 0
+        for _ in range(12):
+            n = int(rng.integers(17, 65))
+            m = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.03, 0.3))
+            if wide:
+                m = m * np.exp(rng.uniform(-20, 20, (n, n)))
+            b = nu_lower_bound(m, max_subset_size=min(n, 12))
+            if not b.exhaustive or b.bound == 0.0:
+                continue
+            cap = int(mu(m) / b.bound)
+            if cap <= 4:
+                _assert_reaches_eig_max(m, b, cap)
+                checked += 1
+        assert checked >= 5
