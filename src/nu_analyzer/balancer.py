@@ -8,6 +8,7 @@ oscillate with a full step; the trace records enough to diagnose that.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,8 +182,8 @@ def convergence_study(
     """
     if trials < 1 or not ns or not thetas or not tol_grid:
         raise ValidationError("study needs at least one n, theta, tolerance and trial")
-    if any(t <= 0 for t in tol_grid):
-        raise ValidationError("tolerances must be positive")
+    if not all(math.isfinite(t) and t > 0 for t in tol_grid):
+        raise ValidationError("tolerances must be positive and finite")
     if any(n < 1 for n in ns):
         raise ValidationError(f"matrix sizes must be at least 1, got {ns}")
     rows: list[StudyRow] = []

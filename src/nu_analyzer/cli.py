@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -188,20 +189,24 @@ def _cmd_grid2x2(args) -> int:
     return 0
 
 
+def _list_flag(text: str, flag: str, convert) -> list:
+    """Comma-separated values of one flag, each through ``convert``."""
+    try:
+        return [convert(v) for v in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"{flag}: expected comma-separated numbers, got {text!r}") from None
+
+
 def _cmd_bench(args) -> int:
     if args.threads:
         log.info("--threads is ignored; trials run serially")
-    thetas = [float(t) for t in args.thetas.split(",")]
+    thetas = _list_flag(args.thetas, "--thetas", float)
     if args.mode == "tol":
-        ns = [int(v) for v in args.ns.split(",")] if args.ns else [128]
-        tols = (
-            [float(t) for t in args.tols.split(",")]
-            if args.tols
-            else list(np.logspace(-1, -6, 11))
-        )
+        ns = _list_flag(args.ns, "--ns", int) if args.ns else [128]
+        tols = _list_flag(args.tols, "--tols", float) if args.tols else list(np.logspace(-1, -6, 11))
     else:
-        ns = [int(v) for v in args.ns.split(",")] if args.ns else [2, 4, 8, 16, 32, 64, 128]
-        tols = [float(t) for t in args.tols.split(",")] if args.tols else [1e-3]
+        ns = _list_flag(args.ns, "--ns", int) if args.ns else [2, 4, 8, 16, 32, 64, 128]
+        tols = _list_flag(args.tols, "--tols", float) if args.tols else [1e-3]
     rows = convergence_study(
         ns=ns,
         trials=args.trials,
@@ -223,7 +228,7 @@ def _cmd_ring(args) -> int:
     if args.n is not None and args.n < 1:
         raise ValidationError(f"--n must be at least 1, got {args.n}")
     weights = (
-        np.array([float(v) for v in args.weights.split(",")])
+        np.array(_list_flag(args.weights, "--weights", float))
         if args.weights
         else np.ones(args.n)
     )
@@ -238,6 +243,7 @@ def _cmd_ring(args) -> int:
     return 0
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nu-analyzer",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -117,15 +118,18 @@ def nu_ring_from_matrix(M) -> NuResult:
     return nu_ring(np.array(weights))
 
 
-def _simplex_grid(n: int, grid: int):
+@cache
+def _simplex_grid(n: int, grid: int) -> np.ndarray:
+    """Every point of the simplex whose coordinates are multiples of 1/grid,
+    one per row, in the order of the cut positions; read-only, since each
+    dimension's grid is built once and shared."""
+    parts = []
     for cuts in combinations_with_replacement(range(grid + 1), n - 1):
-        parts = []
-        prev = 0
-        for c in cuts:
-            parts.append(c - prev)
-            prev = c
-        parts.append(grid - prev)
-        yield np.array(parts, dtype=float) / grid
+        bounds = (0, *cuts, grid)
+        parts.append([hi - lo for lo, hi in zip(bounds, bounds[1:])])
+    dirs = np.array(parts, dtype=float) / grid
+    dirs.flags.writeable = False
+    return dirs
 
 
 # Divisions per axis of the oracle's coarse simplex grid, by dimension.
@@ -140,6 +144,17 @@ def nu_oracle(M) -> NuResult:
     reciprocal root, so the best direction minimizes the total gain. A coarse
     deterministic grid is followed by per-coordinate refinement with a
     window halved from one grid step until it is below 1e-8.
+
+    The roots are taken in stacks, one ``eigvals`` call per stack, while the
+    acceptance stays that of a one-at-a-time search: a direction replaces the
+    incumbent only if its root beats the incumbent's by more than 1e-15, and
+    the first such direction in order wins. The whole grid is one stack,
+    scanned in grid order. In the refinement, coordinate k of the incumbent
+    takes 17 evenly spaced values across the window; the values not yet
+    tried form one stack, each row renormalized to sum one. When one of them
+    improves, the first improving value is accepted and the values after it
+    are stacked again from the new incumbent, so every candidate is scored
+    against the incumbent a one-at-a-time search would hold.
     """
     a = as_array(M)
     n = a.shape[0]
@@ -148,28 +163,33 @@ def nu_oracle(M) -> NuResult:
             f"oracle supports n <= 4 (got n={n}); use the spectral and scaling bounds instead"
         )
     grid = _ORACLE_GRID[n]
+    dirs = _simplex_grid(n, grid)
     best_dir = None
     best = -1.0
-    for direction in _simplex_grid(n, grid):
-        r = float(_perron_roots(direction[:, None] * a))
+    for direction, r in zip(dirs, _perron_roots(dirs[:, :, None] * a)):
         if r > best + 1e-15:
-            best, best_dir = r, direction
+            best, best_dir = float(r), direction
     h = 1.0 / grid
     while h >= 1e-8:
         improved_dir = best_dir
         for k in range(n):
             lo = max(0.0, best_dir[k] - h)
             hi = best_dir[k] + h
-            for cand in np.linspace(lo, hi, 17):
-                trial = improved_dir.copy()
-                trial[k] = cand
-                total = trial.sum()
-                if total <= 0:
-                    continue
-                trial = trial / total
-                r = float(_perron_roots(trial[:, None] * a))
-                if r > best + 1e-15:
-                    best, improved_dir = r, trial
+            cands = np.linspace(lo, hi, 17)
+            while cands.size:
+                trials = np.repeat(improved_dir[None, :], cands.size, axis=0)
+                trials[:, k] = cands
+                totals = trials.sum(axis=1)
+                # the last value is positive, so at least one row stays
+                rows = np.flatnonzero(totals > 0)
+                trials = trials[rows] / totals[rows, None]
+                roots = _perron_roots(trials[:, :, None] * a)
+                hits = np.flatnonzero(roots > best + 1e-15)
+                if not hits.size:
+                    break
+                j = hits[0]
+                best, improved_dir = float(roots[j]), trials[j]
+                cands = cands[rows[j] + 1:]
         best_dir = improved_dir
         h *= 0.5
     if best <= 0.0:

@@ -9,14 +9,15 @@ mean-cycle recursion. The balancing oracle recomputes the heuristic's
 objective with a full n x n pass per update, where the library reads it off
 the column maxima of the next update. The critical-class contraction
 reference carries its graph as arc tuples and per-node offset dicts, where
-the library contracts weight arrays.
+the library contracts weight arrays. The exact-value reference scores one
+gain direction per eigvals call, where the library scores stacks of them.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from nu_analyzer import (
 from nu_analyzer._graph import cyclic_components, support_adjacency
 from nu_analyzer.balancer import BalanceStep, BalanceTrace
 from nu_analyzer.magnitude import as_array
+from nu_analyzer.nu_exact import _ORACLE_GRID, METHOD_ORACLE, NuResult
 from nu_analyzer.nubar import (
     NEG,
     _acyclic_scaling,
@@ -41,6 +43,7 @@ from nu_analyzer.nubar import (
     _potentials,
     _tight_arcs,
 )
+from nu_analyzer.spectral import _perron_roots
 
 
 def enum_max_cycle_mean(a: np.ndarray) -> float:
@@ -313,6 +316,52 @@ def ref_heuristic_balance(
             converged = True
             break
     return BalanceTrace(steps, converged, oscillating, d)
+
+
+def _ref_simplex_grid(n: int, grid: int):
+    for cuts in combinations_with_replacement(range(grid + 1), n - 1):
+        parts = []
+        prev = 0
+        for c in cuts:
+            parts.append(c - prev)
+            prev = c
+        parts.append(grid - prev)
+        yield np.array(parts, dtype=float) / grid
+
+
+def ref_nu_oracle(M) -> NuResult:
+    """nu_oracle with one eigvals call per direction, in search order."""
+    a = as_array(M)
+    n = a.shape[0]
+    grid = _ORACLE_GRID[n]
+    best_dir = None
+    best = -1.0
+    for direction in _ref_simplex_grid(n, grid):
+        r = float(_perron_roots(direction[:, None] * a))
+        if r > best + 1e-15:
+            best, best_dir = r, direction
+    h = 1.0 / grid
+    while h >= 1e-8:
+        improved_dir = best_dir
+        for k in range(n):
+            lo = max(0.0, best_dir[k] - h)
+            hi = best_dir[k] + h
+            for cand in np.linspace(lo, hi, 17):
+                trial = improved_dir.copy()
+                trial[k] = cand
+                total = trial.sum()
+                if total <= 0:
+                    continue
+                trial = trial / total
+                r = float(_perron_roots(trial[:, None] * a))
+                if r > best + 1e-15:
+                    best, improved_dir = r, trial
+        best_dir = improved_dir
+        h *= 0.5
+    if best <= 0.0:
+        return NuResult(0.0, np.zeros(n), METHOD_ORACLE)
+    witness = best_dir / best
+    return NuResult(float(best), witness, METHOD_ORACLE)
 
 
 def dense_matrix(rng: np.random.Generator, n: int) -> np.ndarray:

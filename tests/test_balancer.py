@@ -220,3 +220,6 @@ class TestStudy:
             convergence_study(ns=[], trials=1, thetas=[0.5], tol_grid=[1e-2])
         with pytest.raises(ValidationError):
             convergence_study(ns=[2], trials=1, thetas=[0.5], tol_grid=[-1e-2])
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="positive and finite"):
+                convergence_study(ns=[2], trials=1, thetas=[0.5], tol_grid=[1e-3, bad])

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nu_analyzer
 from nu_analyzer import SpectralResult, read_report, ring_matrix, write_matrix
 from nu_analyzer.cli import build_report, grid_records, main
 
@@ -192,6 +197,13 @@ class TestBench:
         assert out == ""
         assert "at least 1" in err
 
+    def test_nan_tolerance_is_invalid_input(self, capsys):
+        args = ["bench", "--trials", "1", "--thetas", "0.5", "--ns", "3", "--tols", "1e-3,nan"]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert "positive and finite" in err
+
 
 class TestRing:
     def test_ring_report(self, capsys):
@@ -218,6 +230,44 @@ class TestRing:
         assert code == 2
         assert out == ""
         assert "at least 1" in err
+
+
+class TestListFlags:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["bench", "--thetas", "abc"], "--thetas"),
+            (["bench", "--ns", "2,x"], "--ns"),
+            (["bench", "--tols", "1e-3,q"], "--tols"),
+            (["ring", "--weights", "1,b"], "--weights"),
+            (["ring", "--weights", ","], "--weights"),
+        ],
+        ids=["thetas", "ns", "tols", "weights", "weights-empty"],
+    )
+    def test_malformed_list_is_invalid_input(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert flag in err
+        assert "internal error" not in err
+
+
+class TestParserReuse:
+    def test_analyze_after_parser_error_matches_fresh_process(self, capsys, ring4_csv):
+        with pytest.raises(SystemExit) as exc:
+            main(["ring"])
+        assert exc.value.code == 2
+        assert "ring needs --n or --weights" in capsys.readouterr().err
+        code, out, _ = run_cli(capsys, "analyze", ring4_csv)
+        assert code == 0
+        src = str(Path(nu_analyzer.__file__).resolve().parents[1])
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "nu_analyzer.cli", "analyze", ring4_csv],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert out == fresh.stdout
 
 
 class TestStdoutMatchesOut:

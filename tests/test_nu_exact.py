@@ -15,7 +15,7 @@ from nu_analyzer import (
     spectral_radius,
 )
 
-from helpers import positive_diagonal
+from helpers import positive_diagonal, ref_nu_oracle
 
 
 def witness_is_destabilizing(m, witness, tol=1e-6):
@@ -172,3 +172,30 @@ class TestNuOracle:
     def test_large_n_rejected(self):
         with pytest.raises(ValidationError):
             nu_oracle(np.eye(5))
+
+
+def oracle_corpus(seed: int) -> list[np.ndarray]:
+    """Dense, sparse, wide-range, strictly triangular, zero, diagonal and
+    ring matrices at every size the oracle takes."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in range(1, 5):
+        for _ in range(4):
+            out.append(rng.random((n, n)))
+            out.append(rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.2, 0.7)))
+            out.append(np.exp(rng.uniform(-20.0, 20.0, (n, n))))
+        for _ in range(2):
+            out.append(np.triu(rng.random((n, n)), 1))
+            out.append(np.diag(rng.random(n)))
+            out.append(ring_matrix(rng.uniform(0.2, 3.0, n)).m)
+        out.append(np.zeros((n, n)))
+    return out
+
+
+class TestNuOracleBitwise:
+    def test_fuzz_matches_sequential_reference(self):
+        for m in oracle_corpus(seed=46):
+            got, ref = nu_oracle(m), ref_nu_oracle(m)
+            assert got.value == ref.value, m
+            np.testing.assert_array_equal(got.witness_delta, ref.witness_delta)
+            assert got.method == ref.method
