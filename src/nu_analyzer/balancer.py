@@ -138,6 +138,8 @@ def trial_matrix(n: int, seed: int, trial: int, dist: str = "uniform", density: 
     if dist == "uniform":
         return m
     if dist == "sparse":
+        if not 0.0 < density <= 1.0:
+            raise ValidationError(f"density must be finite and in (0, 1], got {density!r}")
         mask = rng.random((n, n)) < density
         return m * mask
     raise ValidationError(f"unknown matrix distribution {dist!r}")

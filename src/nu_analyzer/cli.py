@@ -28,7 +28,7 @@ from .nu_exact import (
     nu_ring,
     ring_matrix,
 )
-from .nubar import balanced_solution, nubar_exact
+from .nubar import _balanced_scaling, _cycle_mean_potentials, _nubar_result, nubar_exact
 from .report_io import (
     Grid2x2Record,
     NuSummary,
@@ -45,7 +45,7 @@ from .report_io import (
     study_plot_script,
     write_trace,
 )
-from .spectral import nu_lower_bound, spectral_radius
+from .spectral import _subset_bound, spectral_radius
 
 log = logging.getLogger("nu_analyzer")
 
@@ -62,8 +62,10 @@ def build_report(
     if subset_max is None:
         subset_max = min(n, 12)
     rad = spectral_radius(a)
-    bal = balanced_solution(a)
-    lower = nu_lower_bound(a, max_subset_size=subset_max)
+    # balanced_solution and nu_lower_bound, sharing one nubar front half
+    front = _cycle_mean_potentials(a)
+    bal = _nubar_result(a, _balanced_scaling, front)
+    lower = _subset_bound(a, subset_max, front)
 
     if nu_result is None and oracle:
         if n == 2:

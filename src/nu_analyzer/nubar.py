@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,35 +131,42 @@ def _potentials(w: np.ndarray, lam: float) -> np.ndarray:
     return p
 
 
-def _cycle_mean_potentials(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, list] | None:
-    """The maximum cycle mean lam of the log weights w, the potentials p, and
-    the components that carry a cycle, over which lam is the largest Karp
-    mean (on a one-node self-loop, exactly the loop's log weight). None on
-    acyclic support."""
+class _Front(NamedTuple):
+    """The nubar front half: the maximum cycle mean ``lam`` of the log
+    weights ``w``, the potentials ``p``, the components that carry a cycle,
+    over which ``lam`` is the largest Karp mean (on a one-node self-loop,
+    exactly the loop's log weight), and the witness cycle."""
+
+    lam: float
+    w: np.ndarray
+    p: np.ndarray
+    comps: list
+    cycle: tuple[int, ...]
+
+
+def _cycle_mean_potentials(a: np.ndarray) -> _Front | None:
+    """The front half that ``nubar_exact``, ``balanced_solution`` and the
+    subset screen share; None on acyclic support."""
     w = _log_weights(a)
     comps = cyclic_components(a)
     lam = max((_karp_max_mean(w[np.ix_(c, c)]) for c in comps), default=NEG)
     if lam == NEG:
         return None
-    return lam, w, _potentials(w, lam), comps
+    p = _potentials(w, lam)
+    return _Front(lam, w, p, comps, _witness_cycle(w, lam, p))
 
 
-def _nubar_normalized(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], list] | None:
-    """The matrix under the optimal diagonal similarity, divided by nubar,
-    with the witness cycle and the components that carry a cycle.
+def _nubar_normalized(front: _Front) -> np.ndarray:
+    """The matrix under the optimal diagonal similarity, divided by nubar.
 
     Entries are exp(log a_ij + p_i - p_j - lam) with p the longest-path
     potentials and lam the maximum cycle mean, formed in the log domain so
     that no entry underflows through the scaling weights. Every entry is at
     most one up to rounding, those along the witness cycle are one within the
     tightness tolerance, and every principal submatrix keeps its spectral
-    radius up to the common factor exp(-lam). None on acyclic support.
+    radius up to the common factor exp(-lam).
     """
-    front = _cycle_mean_potentials(a)
-    if front is None:
-        return None
-    lam, w, p, comps = front
-    return np.exp(w + p[:, None] - p[None, :] - lam), _witness_cycle(w, lam, p), comps
+    return np.exp(front.w + front.p[:, None] - front.p[None, :] - front.lam)
 
 
 def _tight_arcs(w: np.ndarray, lam: float, p: np.ndarray, tol: float) -> np.ndarray:
@@ -280,21 +288,19 @@ def nubar_exact(M) -> NubarResult:
     then the limit one, zero on every node with an outgoing arc and one on
     the rest, and ``scaled_inf_norm`` rejects it.
     """
-    return _nubar_result(as_array(M), lambda a, lam, p: np.exp(p - p.max()))
+    a = as_array(M)
+    return _nubar_result(a, lambda a, lam, p: np.exp(p - p.max()), _cycle_mean_potentials(a))
 
 
-def _nubar_result(a: np.ndarray, scaling) -> NubarResult:
+def _nubar_result(a: np.ndarray, scaling, front: _Front | None) -> NubarResult:
     """The result for the scaling ``scaling(a, lam, p)`` picks from the
-    maximum cycle mean and its potentials, with the value taken along the
-    witness cycle. Acyclic support gets the limit scaling, value 0 and no
-    witness.
+    front half ``front`` of ``a``, with the value taken along the witness
+    cycle. Acyclic support gets the limit scaling, value 0 and no witness.
     """
-    front = _cycle_mean_potentials(a)
     if front is None:
         cycle, d = (), _acyclic_scaling(a)
     else:
-        lam, w, p, _ = front
-        cycle, d = _witness_cycle(w, lam, p), scaling(a, lam, p)
+        cycle, d = front.cycle, scaling(a, front.lam, front.p)
     sv = ScalingVector(d)
     return NubarResult(
         _cycle_geometric_mean(a, cycle),
@@ -366,7 +372,8 @@ def balanced_solution(M) -> NubarResult:
     is the only way their outgoing maxima can match an empty incoming side.
     Acyclic support gets the limit scaling of ``nubar_exact``.
     """
-    return _nubar_result(as_array(M), _balanced_scaling)
+    a = as_array(M)
+    return _nubar_result(a, _balanced_scaling, _cycle_mean_potentials(a))
 
 
 def _balanced_scaling(a: np.ndarray, lam_all: float, _p: np.ndarray) -> np.ndarray:

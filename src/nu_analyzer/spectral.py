@@ -16,7 +16,7 @@ import numpy as np
 from ._graph import cyclic_components
 from .errors import ValidationError
 from .magnitude import as_array
-from .nubar import _nubar_normalized, _scaling_for
+from .nubar import _cycle_mean_potentials, _Front, _nubar_normalized, _scaling_for
 
 # Relative width of the band below the top screened bound inside which
 # subsets are confirmed with spectral_radius. The screen's eigvals call is
@@ -94,17 +94,38 @@ def scaled_inf_norm(M, d) -> float:
     return float((a * dv[:, None] / dv[None, :]).sum(axis=1).max())
 
 
-def _screen(a: np.ndarray, max_size: int) -> tuple[list[tuple[int, ...]], bool]:
+def _reachable_estimates(
+    scaled: np.ndarray, rows: np.ndarray, top: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The subsets in ``rows`` whose batched-eigvals bound on ``scaled`` can
+    reach the window under ``top``, and those bounds.
+
+    rho(M_I) <= min(max row sum, max column sum), and the computed root
+    exceeds that by about |I|^2 * 1e-16 relative at most, far inside the
+    1e-9 margin; the other subsets are dropped before ``eigvals``.
+    """
+    size = rows.shape[1]
+    sub = scaled[rows[:, :, None], rows[:, None, :]]
+    ub = np.minimum(sub.sum(axis=2).max(axis=1), sub.sum(axis=1).max(axis=1)) / size
+    live = ub * (1.0 + 1e-9) >= top * (1.0 - _SCREEN_WINDOW)
+    if not live.any():
+        return np.empty((0, size), np.intp), np.empty(0)
+    return rows[live], _perron_roots(sub[live]) / size
+
+
+def _screen(
+    a: np.ndarray, max_size: int, front: _Front | None
+) -> tuple[list[tuple[int, ...]], bool]:
     """Subsets whose batched-eigvals bound is within _SCREEN_WINDOW of the
     top one, by size and then lexicographic, then the witness cycle when it
-    was not screened; and whether the screen ended short of the budget."""
-    front = _nubar_normalized(a)
+    was not screened; and whether the screen ended short of the budget.
+    ``front`` is the nubar front half of ``a``."""
     if front is None:
         return [], True  # acyclic support: every principal submatrix is nilpotent
-    scaled, cycle, comps = front
+    scaled = _nubar_normalized(front)
     n = a.shape[0]
-    rho_norm = max(float(_perron_roots(scaled[np.ix_(c, c)])) for c in comps)
-    witness = tuple(sorted(cycle)) if len(cycle) <= max_size else ()
+    rho_norm = max(float(_perron_roots(scaled[np.ix_(c, c)])) for c in front.comps)
+    witness = tuple(sorted(front.cycle)) if len(front.cycle) <= max_size else ()
     screened, top, total, exhaustive = [], 0.0, 0, True
     for size in range(1, max_size + 1):
         if top > 0.0 and size > rho_norm / top * (1.0 + 1e-9):
@@ -116,12 +137,11 @@ def _screen(a: np.ndarray, max_size: int) -> tuple[list[tuple[int, ...]], bool]:
             break
         flat = chain.from_iterable(combinations(range(n), size))
         idx = np.fromiter(flat, np.intp, count=count * size).reshape(count, size)
-        est = np.concatenate([
-            _perron_roots(scaled[rows[:, :, None], rows[:, None, :]])
-            for rows in np.split(idx, range(_SCREEN_CHUNK, count, _SCREEN_CHUNK))
-        ]) / size
-        screened.append((idx, est))
-        top = max(top, float(est.max()))
+        kept = []
+        for rows in np.split(idx, range(_SCREEN_CHUNK, count, _SCREEN_CHUNK)):
+            kept.append(_reachable_estimates(scaled, rows, top))
+            top = max(top, float(kept[-1][1].max(initial=0.0)))
+        screened.append(tuple(np.concatenate(part) for part in zip(*kept)))
     # est > 0: a subset that induces no cycle never beats the incumbent
     keep = [idx[(est >= top * (1.0 - _SCREEN_WINDOW)) & (est > 0.0)] for idx, est in screened]
     near = [tuple(int(i) for i in row) for rows in keep for row in rows]
@@ -148,6 +168,18 @@ def nu_lower_bound(M, max_subset_size: int | None = None) -> SubsetBound:
     not screened; the bound and ``rho_sub`` come from those calls alone.
     Ties prefer smaller subsets, then lexicographic order.
 
+    Only subsets that can reach the window go to ``eigvals``. The Perron root
+    of a nonnegative matrix is at most its largest row sum and its largest
+    column sum, so a subset whose bound min(row, column)/|I| is, with a
+    relative margin of 1e-9, below the window under the best estimate
+    screened so far is dropped. This is exact: ``eigvals`` is backward
+    stable, so a computed root exceeds that bound by about |I|^2 * 1e-16
+    relative at most, and the best estimate only grows, so a dropped subset
+    would have failed the final window; it cannot have raised the best
+    estimate either, so the size cap sees the same values. Each matrix of a
+    stack is solved on its own, so the estimates that remain keep their
+    bits.
+
     Sizes run upwards from one. Since rho(M_I) <= rho(M), no subset of more
     than rho(M)/b nodes beats the best screened bound b; past that cap the
     result is ``exhaustive``. A size that would take the subset count past
@@ -155,6 +187,11 @@ def nu_lower_bound(M, max_subset_size: int | None = None) -> SubsetBound:
     of C(16, k) over k = 1..16 is 65535, so this never happens at n <= 16.
     """
     a = as_array(M)
+    return _subset_bound(a, max_subset_size, _cycle_mean_potentials(a))
+
+
+def _subset_bound(a: np.ndarray, max_subset_size: int | None, front: _Front | None) -> SubsetBound:
+    """``nu_lower_bound`` of ``a``, whose nubar front half is ``front``."""
     n = a.shape[0]
     if max_subset_size is None:
         max_subset_size = n
@@ -165,7 +202,7 @@ def nu_lower_bound(M, max_subset_size: int | None = None) -> SubsetBound:
 
     best_idx: tuple[int, ...] = (0,)
     best = best_rho = spectral_radius(a[:1, :1]).rho
-    candidates, exhaustive = _screen(a, max_subset_size)
+    candidates, exhaustive = _screen(a, max_subset_size, front)
     for idx in candidates:
         if idx == (0,):
             continue

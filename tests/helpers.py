@@ -11,13 +11,16 @@ the column maxima of the next update. The critical-class contraction
 reference carries its graph as arc tuples and per-node offset dicts, where
 the library contracts weight arrays. The exact-value reference scores one
 gain direction per eigvals call, where the library scores stacks of them.
+The subset-screen reference sends every subset to eigvals, where the library
+first drops those whose row/column-sum bound cannot reach the top.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import chain, combinations, combinations_with_replacement, permutations
+from math import comb
 
 import numpy as np
 
@@ -38,12 +41,14 @@ from nu_analyzer.nubar import (
     NEG,
     _acyclic_scaling,
     _cycle_in_tight_graph,
+    _cycle_mean_potentials,
     _karp_max_mean,
     _log_weights,
+    _nubar_normalized,
     _potentials,
     _tight_arcs,
 )
-from nu_analyzer.spectral import _perron_roots
+from nu_analyzer.spectral import _SCREEN_BUDGET, _SCREEN_CHUNK, _SCREEN_WINDOW, _perron_roots
 
 
 def enum_max_cycle_mean(a: np.ndarray) -> float:
@@ -275,6 +280,41 @@ def eig_subset_max(scaled: np.ndarray, max_subset_size: int) -> float:
         ev = np.linalg.eigvals(scaled[idx[:, :, None], idx[:, None, :]])
         best = max(best, float(np.abs(ev).max()) / size)
     return best
+
+
+def ref_screen(a: np.ndarray, max_size: int) -> tuple[list[tuple[int, ...]], bool]:
+    """spectral._screen without the row/column-sum prune: every enumerated
+    subset goes to eigvals."""
+    front = _cycle_mean_potentials(a)
+    if front is None:
+        return [], True  # acyclic support: every principal submatrix is nilpotent
+    scaled, cycle, comps = _nubar_normalized(front), front.cycle, front.comps
+    n = a.shape[0]
+    rho_norm = max(float(_perron_roots(scaled[np.ix_(c, c)])) for c in comps)
+    witness = tuple(sorted(cycle)) if len(cycle) <= max_size else ()
+    screened, top, total, exhaustive = [], 0.0, 0, True
+    for size in range(1, max_size + 1):
+        if top > 0.0 and size > rho_norm / top * (1.0 + 1e-9):
+            break  # rho(M_I) <= rho(M): no subset of this size beats top
+        count = comb(n, size)
+        total += count
+        if total > _SCREEN_BUDGET:
+            exhaustive = False
+            break
+        flat = chain.from_iterable(combinations(range(n), size))
+        idx = np.fromiter(flat, np.intp, count=count * size).reshape(count, size)
+        est = np.concatenate([
+            _perron_roots(scaled[rows[:, :, None], rows[:, None, :]])
+            for rows in np.split(idx, range(_SCREEN_CHUNK, count, _SCREEN_CHUNK))
+        ]) / size
+        screened.append((idx, est))
+        top = max(top, float(est.max()))
+    # est > 0: a subset that induces no cycle never beats the incumbent
+    keep = [idx[(est >= top * (1.0 - _SCREEN_WINDOW)) & (est > 0.0)] for idx, est in screened]
+    near = [tuple(int(i) for i in row) for rows in keep for row in rows]
+    if len(witness) > len(screened):
+        near.append(witness)
+    return near, exhaustive
 
 
 def _objective(a: np.ndarray, d: np.ndarray) -> float:

@@ -223,3 +223,6 @@ class TestStudy:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValidationError, match="positive and finite"):
                 convergence_study(ns=[2], trials=1, thetas=[0.5], tol_grid=[1e-3, bad])
+        for bad in (-1.0, 0.0, 1.5, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="density"):
+                convergence_study(ns=[2], trials=1, thetas=[0.5], tol_grid=[1e-3], dist="sparse", density=bad)

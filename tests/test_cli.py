@@ -204,6 +204,15 @@ class TestBench:
         assert out == ""
         assert "positive and finite" in err
 
+    @pytest.mark.parametrize("density", ["-1", "0", "1.5", "nan"])
+    def test_density_outside_unit_interval_is_invalid_input(self, capsys, density):
+        args = ["bench", "--trials", "1", "--thetas", "0.5", "--ns", "3", "--tols", "0.01",
+                "--dist", "sparse", "--density", density]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert "density must be finite and in (0, 1]" in err
+
 
 class TestRing:
     def test_ring_report(self, capsys):

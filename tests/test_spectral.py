@@ -11,7 +11,9 @@ from nu_analyzer import (
     spectral,
     spectral_radius,
 )
+from nu_analyzer.nubar import _cycle_mean_potentials
 
+import helpers
 from helpers import (
     char_poly_rho,
     eig_subset_max,
@@ -19,6 +21,7 @@ from helpers import (
     enum_subset_bound,
     nubar_scaled,
     positive_diagonal,
+    ref_screen,
 )
 
 
@@ -310,3 +313,110 @@ class TestSubsetScreen:
                 _assert_reaches_eig_max(m, b, cap)
                 checked += 1
         assert checked >= 5
+
+
+PRUNE_KINDS = ("dense", "sparse", "wide", "nilpotent", "ring")
+
+
+def _prune_matrix(rng: np.random.Generator, kind: str, n: int) -> np.ndarray:
+    if kind in FUZZ_KINDS:
+        return _fuzz_matrix(rng, kind, n)
+    if kind == "nilpotent":
+        # a permuted strictly upper triangular matrix; every other one gets a
+        # single back arc, which closes cycles through it
+        m = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.6), 1)
+        if rng.random() < 0.5:
+            m[n - 1, 0] = rng.random()
+        perm = rng.permutation(n)
+        return m[np.ix_(perm, perm)]
+    if n < 4 or rng.random() < 0.5:
+        # a zero-diagonal ring with sparse chords
+        m = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.0, 0.3))
+        m[np.arange(n), np.roll(np.arange(n), -1)] = rng.uniform(0.5, 2.0, n)
+        np.fill_diagonal(m, 0.0)
+        return m
+    # two disjoint rings of n // 2 nodes whose cycle means differ by a relative
+    # gap of at most 2e-6, so the lower one falls just inside or just outside
+    # the screen's window; its row and column sums all equal its Perron root
+    nodes = rng.permutation(n)
+    half = n // 2
+    w = rng.uniform(0.5, 2.0)
+    m = np.zeros((n, n))
+    for ring, weight in ((nodes[:half], w), (nodes[half:2 * half], w * (1 - rng.uniform(0, 2e-6)))):
+        m[ring, np.roll(ring, -1)] = weight
+    return m
+
+
+def _screen_of(m: np.ndarray, k: int):
+    return spectral._screen(m, k, _cycle_mean_potentials(m))
+
+
+class TestScreenPrune:
+    @pytest.mark.parametrize("kind", PRUNE_KINDS)
+    def test_fuzz_matches_unpruned_reference(self, kind):
+        rng = np.random.default_rng(31 + PRUNE_KINDS.index(kind))
+        for _ in range(60):
+            n = int(rng.integers(2, 13))
+            m = _prune_matrix(rng, kind, n)
+            k = int(rng.integers(1, n + 1))
+            assert _screen_of(m, k) == ref_screen(m, k)
+
+    def test_fuzz_matches_unpruned_reference_past_budget(self):
+        rng = np.random.default_rng(36)
+        stopped = 0
+        for i in range(10):
+            n = int(rng.integers(17, 25))
+            m = _prune_matrix(rng, PRUNE_KINDS[i % len(PRUNE_KINDS)], n)
+            got = _screen_of(m, 12)
+            assert got == ref_screen(m, 12)
+            stopped += not got[1]
+        assert stopped >= 3
+
+    def test_near_tie_inside_window_is_kept(self):
+        # a 4-ring whose bound sits a relative gap below 1e-6 under a 2-ring's,
+        # so its row/column-sum bound is below top but inside the window; a
+        # zero-diagonal 5-clique lifts rho(M) so the size cap admits size 4
+        rng = np.random.default_rng(38)
+        for _ in range(10):
+            gap, w = rng.uniform(1e-8, 9e-7), rng.uniform(0.5, 2.0)
+            nodes = rng.permutation(11)
+            pair, ring, clique = nodes[:2], nodes[2:6], nodes[6:]
+            m = np.zeros((11, 11))
+            m[pair, pair[::-1]] = w / (2 * (1 - gap))
+            m[ring, np.roll(ring, -1)] = w
+            m[np.ix_(clique, clique)] = w * rng.uniform(0.26, 0.28)
+            m[clique, clique] = 0.0
+            got = _screen_of(m, 11)
+            assert got == ref_screen(m, 11)
+            assert tuple(sorted(int(i) for i in ring)) in got[0]
+
+    @pytest.mark.parametrize("kind", ["sparse", "wide", "nilpotent"])
+    def test_perron_root_within_row_and_column_sum_bound(self, kind):
+        rng = np.random.default_rng(37 + ["sparse", "wide", "nilpotent"].index(kind))
+        for k in range(1, 13):
+            stack = rng.random((200, k, k)) * (rng.random((200, k, k)) < rng.uniform(0.2, 0.8))
+            if kind == "wide":
+                stack = stack * np.exp(rng.uniform(-20, 20, stack.shape))
+            if kind == "nilpotent":
+                perm = rng.permuted(np.tile(np.arange(k), (200, 1)), axis=1)
+                stack = np.triu(stack, 1)[np.arange(200)[:, None, None], perm[:, :, None], perm[:, None, :]]
+            ub = np.minimum(stack.sum(axis=2).max(axis=1), stack.sum(axis=1).max(axis=1))
+            assert np.all(spectral._perron_roots(stack) <= ub * (1 + 1e-9))
+
+    def test_few_subsets_reach_eigvals_at_dense_n12(self, monkeypatch):
+        def counter(module):
+            rows = []
+            roots = module._perron_roots
+
+            def counting(stack):
+                if stack.ndim == 3:  # subset stacks, not the whole-component solve
+                    rows.append(stack.shape[0])
+                return roots(stack)
+
+            monkeypatch.setattr(module, "_perron_roots", counting)
+            return rows
+
+        screened, enumerated = counter(spectral), counter(helpers)
+        m = np.random.default_rng(12).random((12, 12))
+        assert _screen_of(m, 12) == ref_screen(m, 12)
+        assert sum(screened) < 0.05 * sum(enumerated)
