@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .balancer import convergence_study, heuristic_balance
+from .balancer import StudyRow, convergence_study, heuristic_balance
 from .errors import ValidationError
 from .magnitude import MagnitudeMatrix, as_array, magnitude_matrix
 from .nu_exact import (
@@ -36,13 +36,12 @@ from .report_io import (
     ReportRatios,
     RobustnessReport,
     SubsetSummary,
-    grid_csv,
     grid_plot_script,
     read_matrix,
     read_system,
     report_json,
-    study_csv,
     study_plot_script,
+    table_csv,
     write_trace,
 )
 from .spectral import _subset_bound, spectral_radius
@@ -184,7 +183,7 @@ def _cmd_balance(args) -> int:
 
 
 def _cmd_grid2x2(args) -> int:
-    _emit(grid_csv(grid_records(args.steps)), args.out)
+    _emit(table_csv(Grid2x2Record, grid_records(args.steps)), args.out)
     if args.out:
         Path(args.out).with_suffix(".gp").write_text(grid_plot_script(args.out) + "\n")
         log.info("grid written to %s", args.out)
@@ -200,8 +199,6 @@ def _list_flag(text: str, flag: str, convert) -> list:
 
 
 def _cmd_bench(args) -> int:
-    if args.threads:
-        log.info("--threads is ignored; trials run serially")
     thetas = _list_flag(args.thetas, "--thetas", float)
     if args.mode == "tol":
         ns = _list_flag(args.ns, "--ns", int) if args.ns else [128]
@@ -219,7 +216,7 @@ def _cmd_bench(args) -> int:
         dist=args.dist,
         density=args.density,
     )
-    _emit(study_csv(rows), args.out)
+    _emit(table_csv(StudyRow, rows), args.out)
     if args.out:
         Path(args.out).with_suffix(".gp").write_text(study_plot_script(args.out) + "\n")
         log.info("study written to %s", args.out)
@@ -285,7 +282,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", choices=["uniform", "sparse"], default="uniform")
     p.add_argument("--density", type=float, default=0.25)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=0, help="accepted for old command lines and ignored; trials run serially")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bench)
 

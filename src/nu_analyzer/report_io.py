@@ -1,7 +1,10 @@
 """Stable file contracts: JSON robustness reports, CSV matrices and tables.
 
-All floats are written with shortest round-trip precision; readers are
-strict and reject unknown fields so schema drift fails loudly.
+Each dataclass here is the only definition of its file format: writers
+emit its fields in declaration order, and readers type-check every field
+against the dataclass's annotations and reject unknown or missing fields,
+so schema drift fails loudly. All floats are written with shortest
+round-trip precision.
 """
 
 from __future__ import annotations
@@ -9,8 +12,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -60,6 +65,13 @@ class RobustnessReport:
     diagnostics: ReportDiagnostics
 
     def __post_init__(self) -> None:
+        n, idx = self.n, self.nu_lower.indices
+        if len(self.nubar_scaling) != n:
+            raise ValidationError(f"inconsistent report: {len(self.nubar_scaling)} scaling weights, n is {n}")
+        if not idx or idx[0] < 1 or idx[-1] > n or any(a >= b for a, b in zip(idx, idx[1:])):
+            raise ValidationError(f"inconsistent report: subset {list(idx)} is not increasing in 1..{n}")
+        if self.nu_exact is not None and len(self.nu_exact.witness) != n:
+            raise ValidationError(f"inconsistent report: {len(self.nu_exact.witness)} witness gains, n is {n}")
         slack = 1e-6
         if self.nu_lower.bound > self.nubar * (1.0 + slack) + slack * 1e-12:
             raise ValidationError("inconsistent report: subset bound exceeds the scaling bound")
@@ -84,8 +96,17 @@ class Grid2x2Record:
     ratio_nubar_nu: float
 
 
-GRID_FIELDS = ["x", "w", "y", "mu", "nu", "nubar", "ratio_mu_nu", "ratio_nubar_nu"]
-STUDY_FIELDS = ["n", "theta", "tol", "max_iters", "median_iters", "failures"]
+@dataclass(frozen=True)
+class _SystemEntry:
+    i: int
+    j: int
+    impulse: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class _SystemFile:
+    n: int
+    entries: tuple[_SystemEntry, ...]
 
 
 def _fmt(value: float) -> str:
@@ -136,79 +157,12 @@ def write_matrix(M, path) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def read_system(path) -> FirSystem:
-    """Parse the impulse-response JSON description of an interconnection."""
+def _load_json(path):
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: expected a JSON object")
-    unknown = set(data) - {"n", "entries"}
-    if unknown:
-        raise ValidationError(f"{path}: unknown fields {sorted(unknown)}")
-    if "n" not in data or "entries" not in data:
-        raise ValidationError(f"{path}: system file needs 'n' and 'entries'")
-    n = data["n"]
-    if not isinstance(n, int):
-        raise ValidationError(f"{path}: 'n' must be an integer")
-    entries: dict[tuple[int, int], tuple[float, ...]] = {}
-    if not isinstance(data["entries"], list):
-        raise ValidationError(f"{path}: 'entries' must be a list")
-    for pos, item in enumerate(data["entries"]):
-        if not isinstance(item, dict) or set(item) != {"i", "j", "impulse"}:
-            raise ValidationError(
-                f"{path}: entry {pos}: expected keys i, j, impulse"
-            )
-        i, j, impulse = item["i"], item["j"], item["impulse"]
-        if not (isinstance(i, int) and isinstance(j, int)):
-            raise ValidationError(f"{path}: entry {pos}: indices must be integers")
-        if not isinstance(impulse, list):
-            raise ValidationError(f"{path}: entry {pos}: impulse must be a list of numbers")
-        if (i, j) in entries:
-            raise ValidationError(f"{path}: duplicate entry for ({i}, {j})")
-        entries[(i, j)] = tuple(float(c) for c in impulse)
-    return FirSystem(n=n, entries=entries)
-
-
-def _report_to_dict(report: RobustnessReport) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "n": report.n,
-        "mu": report.mu,
-        "nubar": report.nubar,
-        "nubar_scaling": list(report.nubar_scaling),
-        "nubar_certified": report.nubar_certified,
-        "nu_lower": {
-            "bound": report.nu_lower.bound,
-            "indices": list(report.nu_lower.indices),
-            "exhaustive": report.nu_lower.exhaustive,
-        },
-        "nu_exact": None
-        if report.nu_exact is None
-        else {
-            "value": report.nu_exact.value,
-            "method": report.nu_exact.method,
-            "witness": list(report.nu_exact.witness),
-        },
-        "ratios": {
-            "nubar_over_nu_lower": report.ratios.nubar_over_nu_lower,
-            "mu_over_nubar": report.ratios.mu_over_nubar,
-        },
-        "diagnostics": {
-            "diagonally_maximal": report.diagnostics.diagonally_maximal,
-            "acyclic": report.diagnostics.acyclic,
-        },
-    }
-
-
-def write_report(report: RobustnessReport, path) -> None:
-    Path(path).write_text(report_json(report) + "\n")
-
-
-def report_json(report: RobustnessReport) -> str:
-    return json.dumps(_report_to_dict(report), indent=2)
 
 
 def _require_keys(obj: dict, keys: set[str], where: str) -> None:
@@ -220,86 +174,82 @@ def _require_keys(obj: dict, keys: set[str], where: str) -> None:
         raise ValidationError(f"{where}: missing fields {sorted(missing)}")
 
 
+def _read(tp, value, where: str):
+    """Read the parsed JSON ``value`` as an instance of the annotation ``tp``.
+
+    Dataclasses read from objects with exactly their fields, ``X | None``
+    from null or an ``X``, ``tuple[T, ...]`` from a list, ``float`` from a
+    finite number, and ``int``, ``bool`` and ``str`` only from their own
+    JSON type, so a bool never counts as a number.
+    """
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ValidationError(f"{where}: expected an object, got {value!r}")
+        hints = get_type_hints(tp)
+        _require_keys(value, set(hints), where)
+        return tp(**{k: _read(t, value[k], f"{where}: {k}") for k, t in hints.items()})
+    args = get_args(tp)
+    if type(None) in args:
+        if value is None:
+            return None
+        (inner,) = (a for a in args if a is not type(None))
+        return _read(inner, value, where)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ValidationError(f"{where}: expected a list, got {value!r}")
+        return tuple(_read(args[0], v, f"{where}[{k}]") for k, v in enumerate(value))
+    if tp is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+        raise ValidationError(f"{where}: expected a finite number, got {value!r}")
+    if type(value) is not tp:
+        raise ValidationError(f"{where}: expected {tp.__name__}, got {value!r}")
+    return value
+
+
+def read_system(path) -> FirSystem:
+    """Parse the impulse-response JSON description of an interconnection."""
+    system = _read(_SystemFile, _load_json(path), str(path))
+    entries: dict[tuple[int, int], tuple[float, ...]] = {}
+    for e in system.entries:
+        if (e.i, e.j) in entries:
+            raise ValidationError(f"{path}: duplicate entry for ({e.i}, {e.j})")
+        entries[(e.i, e.j)] = e.impulse
+    return FirSystem(n=system.n, entries=entries)
+
+
+def write_report(report: RobustnessReport, path) -> None:
+    Path(path).write_text(report_json(report) + "\n")
+
+
+def report_json(report: RobustnessReport) -> str:
+    return json.dumps({"schema": SCHEMA_VERSION, **vars(report)}, default=vars, indent=2)
+
+
 def read_report(path) -> RobustnessReport:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
-    where = str(path)
-    _require_keys(
-        data,
-        {
-            "schema",
-            "n",
-            "mu",
-            "nubar",
-            "nubar_scaling",
-            "nubar_certified",
-            "nu_lower",
-            "nu_exact",
-            "ratios",
-            "diagnostics",
-        },
-        where,
-    )
-    if data["schema"] != SCHEMA_VERSION:
-        raise ValidationError(f"{where}: unsupported schema {data['schema']!r}")
-    _require_keys(data["nu_lower"], {"bound", "indices", "exhaustive"}, f"{where}: nu_lower")
-    _require_keys(data["ratios"], {"nubar_over_nu_lower", "mu_over_nubar"}, f"{where}: ratios")
-    _require_keys(
-        data["diagnostics"], {"diagonally_maximal", "acyclic"}, f"{where}: diagnostics"
-    )
-    nu_exact = None
-    if data["nu_exact"] is not None:
-        _require_keys(data["nu_exact"], {"value", "method", "witness"}, f"{where}: nu_exact")
-        nu_exact = NuSummary(
-            value=float(data["nu_exact"]["value"]),
-            method=str(data["nu_exact"]["method"]),
-            witness=tuple(float(v) for v in data["nu_exact"]["witness"]),
-        )
-    return RobustnessReport(
-        n=int(data["n"]),
-        mu=float(data["mu"]),
-        nubar=float(data["nubar"]),
-        nubar_scaling=tuple(float(v) for v in data["nubar_scaling"]),
-        nubar_certified=bool(data["nubar_certified"]),
-        nu_lower=SubsetSummary(
-            bound=float(data["nu_lower"]["bound"]),
-            indices=tuple(int(i) for i in data["nu_lower"]["indices"]),
-            exhaustive=bool(data["nu_lower"]["exhaustive"]),
-        ),
-        nu_exact=nu_exact,
-        ratios=ReportRatios(
-            nubar_over_nu_lower=data["ratios"]["nubar_over_nu_lower"],
-            mu_over_nubar=data["ratios"]["mu_over_nubar"],
-        ),
-        diagnostics=ReportDiagnostics(
-            diagonally_maximal=bool(data["diagnostics"]["diagonally_maximal"]),
-            acyclic=bool(data["diagnostics"]["acyclic"]),
-        ),
-    )
+    data = _load_json(path)
+    schema = data.pop("schema", None) if isinstance(data, dict) else None
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        raise ValidationError(f"{path}: unsupported schema {schema!r}")
+    return _read(RobustnessReport, data, str(path))
 
 
-def grid_csv(records: list[Grid2x2Record]) -> str:
-    lines = [",".join(_fmt(getattr(r, f)) for f in GRID_FIELDS) for r in records]
-    return "\n".join([",".join(GRID_FIELDS), *lines])
+def table_csv(cls, records) -> str:
+    """CSV text of dataclass records: a header of ``cls``'s field names, then
+    one row per record, int fields through ``str`` and float fields at
+    shortest round-trip precision."""
+    hints = get_type_hints(cls)
+    cells = [(name, str if tp is int else _fmt) for name, tp in hints.items()]
+    lines = [",".join(fmt(getattr(r, name)) for name, fmt in cells) for r in records]
+    return "\n".join([",".join(hints), *lines])
 
 
 def write_grid(records: list[Grid2x2Record], path) -> None:
-    Path(path).write_text(grid_csv(records) + "\n")
-
-
-def study_csv(rows: list[StudyRow]) -> str:
-    lines = [
-        f"{r.n},{_fmt(r.theta)},{_fmt(r.tol)},{r.max_iters},{r.median_iters},{r.failures}"
-        for r in rows
-    ]
-    return "\n".join([",".join(STUDY_FIELDS), *lines])
+    Path(path).write_text(table_csv(Grid2x2Record, records) + "\n")
 
 
 def write_study(rows: list[StudyRow], path) -> None:
-    Path(path).write_text(study_csv(rows) + "\n")
+    Path(path).write_text(table_csv(StudyRow, rows) + "\n")
 
 
 def write_trace(trace: BalanceTrace, path) -> None:

@@ -74,6 +74,23 @@ class TestAnalyze:
         assert out == ""
         assert "negative" in err
 
+    @pytest.mark.parametrize(
+        "system",
+        [
+            {"n": 1, "entries": [{"i": 1, "j": 1, "impulse": ["a"]}]},
+            {"n": True, "entries": []},
+            {"n": 1, "entries": [{"i": 1, "j": 1, "impulse": [True, 1]}]},
+        ],
+        ids=["string-coefficient", "bool-dimension", "bool-coefficient"],
+    )
+    def test_malformed_system_is_invalid_input(self, capsys, tmp_path, system):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(system))
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2
+        assert out == ""
+        assert "sys.json: " in err and "internal error" not in err
+
     def test_report_file_out(self, capsys, tmp_path, ring4_csv):
         out_path = tmp_path / "report.json"
         code, out, _ = run_cli(capsys, "analyze", ring4_csv, "--out", str(out_path))
@@ -175,20 +192,18 @@ class TestBench:
         ]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(capsys, *args, "--out", str(p1))[0] == 0
-        assert run_cli(capsys, *args, "--threads", "3", "--out", str(p2))[0] == 0
+        assert run_cli(capsys, *args, "--out", str(p2))[0] == 0
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
         assert header == "n,theta,tol,max_iters,median_iters,failures"
 
-    def test_threads_flag_is_ignored_with_a_log_line(self, capsys):
-        args = ["bench", "--trials", "1", "--thetas", "0.5", "--ns", "3", "--tols", "0.01"]
-        line = "INFO: --threads is ignored; trials run serially"
-        code, out, err = run_cli(capsys, *args, "--threads", "3")
-        assert code == 0
-        assert err.splitlines().count(line) == 1
-        code, out_default, err = run_cli(capsys, *args)
-        assert code == 0 and out_default == out
-        assert line not in err
+    def test_threads_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--trials", "1", "--thetas", "0.5", "--ns", "3", "--threads", "3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --threads 3" in captured.err
 
     def test_nonpositive_size_is_invalid_input(self, capsys):
         args = ["bench", "--mode", "size", "--ns", "-2", "--trials", "1", "--thetas", "0.5"]

@@ -14,10 +14,25 @@ from nu_analyzer import (
     write_report,
     write_trace,
     magnitude_matrix,
+    nu_ring,
+    ring_matrix,
 )
 from nu_analyzer.balancer import StudyRow
 from nu_analyzer.cli import build_report
-from nu_analyzer.report_io import write_study
+from nu_analyzer.report_io import report_json, table_csv, write_study
+
+from helpers import mixed_corpus
+
+
+def _edited_report(tmp_path, edit, oracle=False):
+    """Path of the 2x2 report of [[0, 1], [0.25, 0]] after ``edit`` has
+    changed its parsed JSON in place."""
+    path = tmp_path / "report.json"
+    write_report(build_report(np.array([[0.0, 1.0], [0.25, 0.0]]), oracle=oracle), path)
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    return path
 
 
 class TestMatrixCsv:
@@ -147,6 +162,99 @@ class TestReportJson:
         with pytest.raises(ValidationError, match="inconsistent report"):
             read_report(path)
 
+    def test_scaling_length_must_match_n(self, tmp_path):
+        for edit in (lambda d: d["nubar_scaling"].append(1.0), lambda d: d.update(n=7)):
+            with pytest.raises(ValidationError, match="scaling weights"):
+                read_report(_edited_report(tmp_path, edit))
+
+    @pytest.mark.parametrize("indices", [[], [2, 1], [1, 1], [0, 1], [1, 3]])
+    def test_subset_indices_must_increase_within_range(self, tmp_path, indices):
+        def edit(d):
+            d["nu_lower"]["indices"] = indices
+        with pytest.raises(ValidationError, match="not increasing in 1..2"):
+            read_report(_edited_report(tmp_path, edit))
+
+    def test_witness_length_must_match_n(self, tmp_path):
+        def edit(d):
+            d["nu_exact"]["witness"].append(1.0)
+        with pytest.raises(ValidationError, match="witness gains"):
+            read_report(_edited_report(tmp_path, edit, oracle=True))
+
+
+def _set(*keys_and_value):
+    *keys, last, value = keys_and_value
+
+    def edit(d):
+        for k in keys:
+            d = d[k]
+        d[last] = value
+    return edit
+
+
+class TestReportReaderRejects:
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (_set("nubar_certified", "false"), "nubar_certified"),
+            (_set("n", 2.9), "n"),
+            (_set("n", True), "n"),
+            (_set("ratios", "mu_over_nubar", "1.0"), "ratios: mu_over_nubar"),
+            (_set("nu_lower", "indices", [1.7]), "nu_lower: indices"),
+            (_set("nubar_scaling", "12"), "nubar_scaling"),
+            (_set("mu", "abc"), "mu"),
+            (_set("mu", float("nan")), "mu"),
+            (_set("nu_lower", [0.25, [1, 2], True]), "nu_lower"),
+            (lambda d: d["diagnostics"].pop("acyclic"), "diagnostics: missing fields"),
+        ],
+        ids=[
+            "bool-as-string", "fractional-int", "bool-as-int", "ratio-as-string",
+            "fractional-index", "scaling-as-string", "mu-as-string", "mu-nan",
+            "nu_lower-not-object", "missing-nested-field",
+        ],
+    )
+    def test_malformed_field(self, tmp_path, edit, where):
+        path = _edited_report(tmp_path, edit)
+        with pytest.raises(ValidationError, match=f"report.json: {where}"):
+            read_report(path)
+
+
+class TestReportRoundTrip:
+    def test_seeded_reports_read_back_equal(self, tmp_path):
+        rng = np.random.default_rng(61)
+        corpus = [(m, m.shape[0] <= 4, None) for m in mixed_corpus(seed=60, count=30, n_max=7)]
+        corpus += [(np.triu(rng.random((n, n)), 1), n == 3, None) for n in range(1, 6)]
+        corpus += [(np.exp(rng.uniform(-20, 20, (n, n))), False, None) for n in (3, 6)]
+        for w in (np.ones(3), np.array([2.0, 0.5, 1.0, 4.0])):
+            corpus.append((ring_matrix(w), False, nu_ring(w)))
+        no_ratio, methods = set(), set()
+        path = tmp_path / "report.json"
+        for m, oracle, nu in corpus:
+            report = build_report(m, oracle=oracle, nu_result=nu)
+            write_report(report, path)
+            assert read_report(path) == report
+            no_ratio.add(report.ratios.mu_over_nubar is None)
+            methods.add(report.nu_exact and report.nu_exact.method)
+        assert no_ratio == {True, False}
+        assert methods == {None, "oracle", "closed_form_2x2", "ring"}
+
+
+class TestPinnedBytes:
+    """Key order and number formatting of the file formats, as literals."""
+
+    def test_oracle_2x2_report(self):
+        report = build_report(np.array([[0.0, 1.0], [0.25, 0.0]]), oracle=True)
+        assert report_json(report) == PINNED_ORACLE_2X2
+
+    def test_acyclic_3x3_report(self):
+        report = build_report(np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 3.0], [0.0, 0.0, 0.0]]))
+        assert report_json(report) == PINNED_ACYCLIC_3X3
+
+    def test_study_row_mixes_int_and_float_fields(self):
+        row = StudyRow(n=4, theta=1 / 3, tol=1e-7, max_iters=12, median_iters=8, failures=3)
+        assert table_csv(StudyRow, [row]) == (
+            "n,theta,tol,max_iters,median_iters,failures\n4,0.3333333333333333,1e-07,12,8,3"
+        )
+
 
 class TestTables:
     def test_study_csv_header(self, tmp_path):
@@ -164,3 +272,69 @@ class TestTables:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,objective,rel_change,d1,d2"
         assert len(lines) == len(trace.iterations) + 1
+
+
+PINNED_ORACLE_2X2 = """{
+  "schema": 1,
+  "n": 2,
+  "mu": 0.5000000000000001,
+  "nubar": 0.5,
+  "nubar_scaling": [
+    0.5,
+    1.0
+  ],
+  "nubar_certified": true,
+  "nu_lower": {
+    "bound": 0.25000000000000006,
+    "indices": [
+      1,
+      2
+    ],
+    "exhaustive": true
+  },
+  "nu_exact": {
+    "value": 0.25,
+    "method": "closed_form_2x2",
+    "witness": [
+      2.0,
+      2.0
+    ]
+  },
+  "ratios": {
+    "nubar_over_nu_lower": 1.9999999999999996,
+    "mu_over_nubar": 1.0000000000000002
+  },
+  "diagnostics": {
+    "diagonally_maximal": false,
+    "acyclic": false
+  }
+}"""
+
+PINNED_ACYCLIC_3X3 = """{
+  "schema": 1,
+  "n": 3,
+  "mu": 0.0,
+  "nubar": 0.0,
+  "nubar_scaling": [
+    0.0,
+    0.0,
+    1.0
+  ],
+  "nubar_certified": true,
+  "nu_lower": {
+    "bound": 0.0,
+    "indices": [
+      1
+    ],
+    "exhaustive": true
+  },
+  "nu_exact": null,
+  "ratios": {
+    "nubar_over_nu_lower": null,
+    "mu_over_nubar": null
+  },
+  "diagnostics": {
+    "diagonally_maximal": false,
+    "acyclic": true
+  }
+}"""
