@@ -49,6 +49,111 @@ class BalanceTrace:
         return None
 
 
+def _check_params(thetas, tol: float, max_iter: int) -> None:
+    if not len(thetas):
+        raise ValidationError("need at least one theta")
+    for theta in thetas:
+        if not (0.0 < theta <= 1.0):
+            raise ValidationError(f"theta must lie in (0, 1], got {theta!r}")
+    if not tol > 0:
+        raise ValidationError(f"tolerance must be positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter!r}")
+
+
+@dataclass(frozen=True)
+class _Runs:
+    """Outcome of one balancing trajectory per step parameter.
+
+    Column k of ``rel`` holds trajectory k's relative objective changes in
+    its first ``updates[k]`` rows.
+    """
+
+    rel: np.ndarray
+    updates: np.ndarray
+    objective: np.ndarray
+    converged: np.ndarray
+    oscillating: np.ndarray
+    final: np.ndarray
+
+
+def _balance_runs(a: np.ndarray, thetas, max_iter: int, tol: float, history: list | None = None) -> _Runs:
+    """The iteration of ``heuristic_balance`` on ``a``, one trajectory per
+    step parameter, all of them in one (K, n) update.
+
+    A trajectory that stops leaves the stack. Every operation is elementwise
+    or a max-reduction along one trajectory's row, so each trajectory has the
+    bits it would have alone. ``history``, if given, receives the weights and
+    objectives of the trajectories still running after each update.
+    """
+    n = a.shape[0]
+    k = len(thetas)
+    a0 = a.copy()
+    np.fill_diagonal(a0, 0.0)
+    diag = np.diag(a)
+    # doubled on demand: a generous max_iter must not reserve memory up front
+    rel_all = np.empty((min(max_iter, 1024), k))
+    updates = np.full(k, max_iter)
+    objective = np.empty(k)
+    converged = np.zeros(k, dtype=bool)
+    oscillating = np.zeros(k, dtype=bool)
+    final = np.empty((k, n))
+
+    act = np.arange(k)
+    theta = np.asarray(thetas, dtype=float)[:, None]
+    stay = 1.0 - theta
+    d = np.ones((k, n))
+    scale = np.ones(k)  # max(max(d), 1e-300) per trajectory
+    num = np.tile(a0.max(axis=0), (k, 1))
+    prev = np.full(k, float(a.max()))
+    osc = np.zeros(k, dtype=bool)
+    back = back_scale = None  # the weights one update before d, and their scale
+    work = np.empty((k, n, n))
+    for u in range(max_iter):
+        w = work[: act.size]
+        np.divide(a0, d[:, None, :], out=w)
+        den = w.max(axis=2)
+        ratio = d.copy()
+        np.divide(np.sqrt(num), np.sqrt(den), out=ratio, where=np.minimum(num, den) > 0)
+        dn = stay * d + theta * ratio
+        # The objective max_ij a_ij dn_i / dn_j comes off the column maxima the
+        # next update needs: rounding is monotone, so max_j num_j / dn_j and the
+        # diagonal give the same bits as a pass over the whole scaled matrix.
+        np.multiply(a0, dn[:, :, None], out=w)
+        num = w.max(axis=1)
+        obj = np.maximum(num / dn, diag * dn / dn).max(axis=1)
+        rel = np.abs(obj - prev) / np.maximum(prev, 1e-300)
+        if u == rel_all.shape[0]:
+            rel_all = np.concatenate((rel_all, np.empty_like(rel_all)))
+        rel_all[u, act] = rel
+        step = np.abs(dn - d).max(axis=1)
+        if back is not None:
+            close2 = np.abs(dn - back).max(axis=1) <= 1e-9 * back_scale
+            osc |= close2 & ~(step <= 1e-9 * scale)
+        done = (rel <= tol) & (step <= tol * scale) & ~osc
+        if history is not None:
+            history.append((dn, obj))
+        back, back_scale = d, scale
+        d, prev = dn, obj
+        scale = np.maximum(d.max(axis=1), 1e-300)
+        if done.any():
+            idx = act[done]
+            updates[idx] = u + 1
+            objective[idx] = obj[done]
+            converged[idx] = True
+            final[idx] = d[done]
+            keep = ~done
+            act, theta, stay, osc = act[keep], theta[keep], stay[keep], osc[keep]
+            d, scale, num, prev = d[keep], scale[keep], num[keep], prev[keep]
+            back, back_scale = back[keep], back_scale[keep]
+            if not act.size:
+                break
+    objective[act] = prev
+    oscillating[act] = osc
+    final[act] = d
+    return _Runs(rel_all, updates, objective, converged, oscillating, final)
+
+
 def heuristic_balance(
     M,
     theta: float = 0.5,
@@ -65,48 +170,14 @@ def heuristic_balance(
     orbit of the weights is flagged as oscillating and never reported as
     converged.
     """
-    if not (0.0 < theta <= 1.0):
-        raise ValidationError(f"theta must lie in (0, 1], got {theta!r}")
-    if not tol > 0:
-        raise ValidationError(f"tolerance must be positive, got {tol!r}")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be at least 1, got {max_iter!r}")
+    _check_params([theta], tol, max_iter)
     a = as_array(M)
-    n = a.shape[0]
-    a0 = a.copy()
-    np.fill_diagonal(a0, 0.0)
-    diag = np.diag(a)
-
-    d = np.ones(n)
-    num = a0.max(axis=0)
-    steps = [BalanceStep(1, d.copy(), float(a.max()), float("inf"))]
-    converged = False
-    oscillating = False
-    for t in range(2, max_iter + 2):
-        prev = steps[-1]
-        den = (a0 / d[None, :]).max(axis=1)
-        ok = (num > 0) & (den > 0)
-        ratio = np.where(ok, np.sqrt(np.where(ok, num, 1.0)) / np.sqrt(np.where(ok, den, 1.0)), d)
-        dn = (1.0 - theta) * d + theta * ratio
-        # The objective max_ij a_ij dn_i / dn_j comes off the column maxima the
-        # next update needs: rounding is monotone, so max_j num_j / dn_j and the
-        # diagonal give the same bits as a pass over the whole scaled matrix.
-        num = (a0 * dn[:, None]).max(axis=0)
-        obj = float(np.maximum(num / dn, diag * dn / dn).max())
-        rel = abs(obj - prev.objective) / max(prev.objective, 1e-300)
-        steps.append(BalanceStep(t, dn.copy(), obj, rel))
-        if len(steps) >= 3:
-            back2 = steps[-3].d
-            close2 = np.abs(dn - back2).max() <= 1e-9 * max(back2.max(), 1e-300)
-            close1 = np.abs(dn - d).max() <= 1e-9 * max(d.max(), 1e-300)
-            if close2 and not close1:
-                oscillating = True
-        d_settled = np.abs(dn - d).max() <= tol * max(d.max(), 1e-300)
-        d = dn
-        if rel <= tol and d_settled and not oscillating:
-            converged = True
-            break
-    return BalanceTrace(steps, converged, oscillating, d)
+    history: list = []
+    runs = _balance_runs(a, [theta], max_iter, tol, history)
+    steps = [BalanceStep(1, np.ones(a.shape[0]), float(a.max()), float("inf"))]
+    for t, (d, obj) in enumerate(history, start=2):
+        steps.append(BalanceStep(t, d[0], float(obj[0]), float(runs.rel[t - 2, 0])))
+    return BalanceTrace(steps, bool(runs.converged[0]), bool(runs.oscillating[0]), runs.final[0])
 
 
 @dataclass(frozen=True)
@@ -148,20 +219,28 @@ def trial_matrix(n: int, seed: int, trial: int, dist: str = "uniform", density: 
 def run_trials(
     n: int,
     trials: int,
-    theta: float,
+    thetas: list[float],
     stop_tol: float,
     max_iter: int = 1000,
     seed: int = 0,
     dist: str = "uniform",
     density: float = 0.25,
-) -> list[TrialRecord]:
-    """Balance ``trials`` seeded random matrices and record their traces."""
-    records = []
+) -> list[list[TrialRecord]]:
+    """Balance ``trials`` seeded random matrices at every step parameter.
+
+    Returns one list of trial records per entry of ``thetas``. All thetas of
+    one trial matrix run together as one (len(thetas), n) iteration that
+    shares the matrix, so the update's temporaries take len(thetas)·n²
+    doubles; each trajectory has the bits it would have run alone.
+    """
+    _check_params(thetas, stop_tol, max_iter)
+    records: list[list[TrialRecord]] = [[] for _ in thetas]
     for trial in range(trials):
         m = trial_matrix(n, seed, trial, dist, density)
-        trace = heuristic_balance(m, theta=theta, max_iter=max_iter, tol=stop_tol)
-        rel = np.array([s.rel_change for s in trace.iterations[1:]])
-        records.append(TrialRecord(trial, rel, trace.objective, trace.converged))
+        runs = _balance_runs(m, thetas, max_iter, stop_tol)
+        for k, rec in enumerate(records):
+            rel = runs.rel[: runs.updates[k], k].copy()
+            rec.append(TrialRecord(trial, rel, float(runs.objective[k]), bool(runs.converged[k])))
     return records
 
 
@@ -177,10 +256,12 @@ def convergence_study(
 ) -> list[StudyRow]:
     """Iteration counts to reach each tolerance, aggregated over trials.
 
-    For every (n, theta) the same seeded matrices are run once down to the
-    tightest tolerance; crossing counts for looser tolerances are read off
-    the recorded trace. ``max_iters``/``median_iters`` are -1 when no trial
-    reaches the tolerance.
+    For every n the same seeded matrices are run once down to the tightest
+    tolerance; crossing counts for looser tolerances are read off the
+    recorded trace. All thetas of one trial matrix run together through
+    ``run_trials``, whose temporaries take len(thetas)·n² doubles.
+    ``max_iters``/``median_iters`` are -1 when no trial reaches the
+    tolerance.
     """
     if trials < 1 or not ns or not thetas or not tol_grid:
         raise ValidationError("study needs at least one n, theta, tolerance and trial")
@@ -191,8 +272,8 @@ def convergence_study(
     rows: list[StudyRow] = []
     stop_tol = min(tol_grid)
     for n in ns:
-        for theta in thetas:
-            records = run_trials(n, trials, theta, stop_tol, max_iter, seed, dist, density)
+        by_theta = run_trials(n, trials, thetas, stop_tol, max_iter, seed, dist, density)
+        for theta, records in zip(thetas, by_theta):
             for tol in tol_grid:
                 counts = [r.iterations_to(tol) for r in records]
                 hits = [c for c in counts if c is not None]

@@ -58,8 +58,8 @@ def build_report(
     """Assemble the full robustness report for one magnitude matrix."""
     a = as_array(M)
     n = a.shape[0]
-    if subset_max is None:
-        subset_max = min(n, 12)
+    # a cap above n admits every subset, as n itself does
+    subset_max = min(n, 12) if subset_max is None else min(subset_max, n)
     rad = spectral_radius(a)
     # balanced_solution and nu_lower_bound, sharing one nubar front half
     front = _cycle_mean_potentials(a)

@@ -8,6 +8,7 @@ resulting nonnegative square matrix.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,14 +28,21 @@ class FirSystem:
     entries: dict[tuple[int, int], tuple[float, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        # a bool is never a count or a coefficient, as in the JSON reader
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ValidationError(f"system dimension must be a positive integer, got {self.n!r}")
         for (i, j), coeffs in self.entries.items():
+            if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (i, j)):
+                raise ValidationError(f"entry index ({i!r}, {j!r}) must be a pair of integers")
             if not (1 <= i <= self.n and 1 <= j <= self.n):
                 raise ValidationError(
                     f"entry index ({i}, {j}) out of range for dimension {self.n}"
                 )
             for t, c in enumerate(coeffs):
+                if isinstance(c, bool) or not isinstance(c, numbers.Real):
+                    raise ValidationError(
+                        f"impulse response at ({i}, {j}) has non-numeric coefficient {c!r} at step {t}"
+                    )
                 if not math.isfinite(c):
                     raise ValidationError(
                         f"impulse response at ({i}, {j}) has non-finite coefficient at step {t}"

@@ -469,6 +469,6 @@ def _balanced_scaling(a: np.ndarray, lam_all: float, _p: np.ndarray) -> np.ndarr
                 d_log[u] = (pi[u] if nontrivial[bi] else 0.0) + x[bi]
             elif not adj[u]:
                 d_log[u] = 0.0  # sinks and isolated nodes: any positive weight
-    finite = np.isfinite(d_log)
-    top = d_log[finite].max()
-    return np.where(finite, np.exp(np.where(finite, d_log, 0.0) - top), 0.0)
+    top = d_log[np.isfinite(d_log)].max()
+    # NEG entries give exp(-inf) = 0 exactly, with no overflow warning
+    return np.exp(d_log - top)

@@ -7,10 +7,12 @@ subset where the library screens them with batched eigenvalues, and the
 scaling-bound oracle bisects with Bellman-Ford where the library runs Karp's
 mean-cycle recursion. The balancing oracle recomputes the heuristic's
 objective with a full n x n pass per update, where the library reads it off
-the column maxima of the next update. The critical-class contraction
-reference carries its graph as arc tuples and per-node offset dicts, where
-the library contracts weight arrays. The exact-value reference scores one
-gain direction per eigvals call, where the library scores stacks of them.
+the column maxima of the next update; the study oracle runs it once per
+(trial, theta), where the library runs all thetas of a trial in one stack.
+The critical-class contraction reference carries its graph as arc tuples and
+per-node offset dicts, where the library contracts weight arrays. The
+exact-value reference scores one gain direction per eigvals call, where the
+library scores stacks of them.
 The subset-screen reference sends every subset to eigvals, where the library
 first drops those whose row/column-sum bound cannot reach the top.
 """
@@ -34,7 +36,7 @@ from nu_analyzer import (
     spectral_radius,
 )
 from nu_analyzer._graph import cyclic_components, support_adjacency
-from nu_analyzer.balancer import BalanceStep, BalanceTrace
+from nu_analyzer.balancer import BalanceStep, BalanceTrace, StudyRow, TrialRecord, trial_matrix
 from nu_analyzer.magnitude import as_array
 from nu_analyzer.nu_exact import _ORACLE_GRID, METHOD_ORACLE, NuResult
 from nu_analyzer.nubar import (
@@ -356,6 +358,42 @@ def ref_heuristic_balance(
             converged = True
             break
     return BalanceTrace(steps, converged, oscillating, d)
+
+
+def ref_convergence_study(
+    ns: list[int],
+    trials: int,
+    thetas: list[float],
+    tol_grid: list[float],
+    seed: int = 0,
+    max_iter: int = 1000,
+    dist: str = "uniform",
+    density: float = 0.25,
+) -> list[StudyRow]:
+    """convergence_study with one ref_heuristic_balance run per (trial, theta)."""
+    rows = []
+    stop_tol = min(tol_grid)
+    for n in ns:
+        for theta in thetas:
+            records = []
+            for trial in range(trials):
+                m = trial_matrix(n, seed, trial, dist, density)
+                trace = ref_heuristic_balance(m, theta, max_iter, stop_tol)
+                rel = np.array([s.rel_change for s in trace.iterations[1:]])
+                records.append(TrialRecord(trial, rel, trace.objective, trace.converged))
+            for tol in tol_grid:
+                hits = [c for c in (r.iterations_to(tol) for r in records) if c is not None]
+                rows.append(
+                    StudyRow(
+                        n=int(n),
+                        theta=float(theta),
+                        tol=float(tol),
+                        max_iters=max(hits) if hits else -1,
+                        median_iters=int(np.median(hits)) if hits else -1,
+                        failures=trials - len(hits),
+                    )
+                )
+    return rows
 
 
 def _ref_simplex_grid(n: int, grid: int):

@@ -139,10 +139,8 @@ def test_criterion_7_convergence_study():
     tol_grid = np.logspace(-1, -4, 7)
     failures = []
     optima = [nubar_exact(trial_matrix(128, 777, trial)).value for trial in range(100)]
-    for theta in thetas:
-        records = run_trials(
-            n=128, trials=100, theta=theta, stop_tol=1e-4, max_iter=1000, seed=777
-        )
+    by_theta = run_trials(n=128, trials=100, thetas=thetas, stop_tol=1e-4, max_iter=1000, seed=777)
+    for theta, records in zip(thetas, by_theta):
         for rec in records:
             within = rec.iterations_to(1e-3)
             optimum = optima[rec.trial]

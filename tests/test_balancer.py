@@ -13,7 +13,9 @@ from nu_analyzer import (
     trial_matrix,
 )
 
-from helpers import ref_heuristic_balance
+from nu_analyzer.balancer import _balance_runs
+
+from helpers import ref_convergence_study, ref_heuristic_balance
 
 
 OSC = np.array([[0.0, 1.0], [0.25, 0.0]])  # two-cycle with x = 0.5
@@ -148,10 +150,89 @@ class TestFusedObjective:
                 self.assert_same_trace(m, theta)
 
 
+class TestStackedThetas:
+    """All thetas of one matrix run as one stack; each trajectory must equal,
+    bit for bit, the per-theta oracle run alone."""
+
+    THETA_SETS = (
+        (0.2, 0.5, 0.9, 1.0),
+        (1.0, 0.3),
+        (0.7, 1.0, 0.4, 0.8, 0.6),
+        (0.9,),
+        (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
+    )
+
+    def test_fuzz_against_per_theta_oracle(self):
+        seen = {"converged": 0, "oscillating": 0, "max_iter": 0, "staggered": 0}
+        for k, (m, _) in enumerate(_fuzz_matrices(seed=43, count=250)):
+            thetas = self.THETA_SETS[k % len(self.THETA_SETS)]
+            tol, max_iter = (1e-3, 40) if k % 2 else (1e-8, 80)
+            runs = _balance_runs(m, thetas, max_iter, tol)
+            for j, theta in enumerate(thetas):
+                ref = ref_heuristic_balance(m, theta, max_iter, tol)
+                rel = runs.rel[: runs.updates[j], j]
+                np.testing.assert_array_equal(rel, [s.rel_change for s in ref.iterations[1:]])
+                assert runs.objective[j] == ref.objective
+                assert runs.converged[j] == ref.converged
+                assert runs.oscillating[j] == ref.oscillating
+                np.testing.assert_array_equal(runs.final[j], ref.final)
+                seen["converged"] += ref.converged
+                seen["oscillating"] += ref.oscillating
+                seen["max_iter"] += not ref.converged and not ref.oscillating
+            seen["staggered"] += len(set(runs.updates.tolist())) > 1
+        assert all(v > 0 for v in seen.values()), seen
+
+    def test_study_rows_match_per_theta_oracle(self):
+        configs = [
+            dict(ns=[1, 2, 3], trials=3, thetas=[0.2, 1.0, 0.9], tol_grid=[1e-2, 1e-6]),
+            dict(ns=[4, 17], trials=2, thetas=[1.0, 0.5], tol_grid=[1e-1, 1e-3, 1e-8], seed=5),
+            dict(ns=[2, 9, 33], trials=2, thetas=[0.3, 0.6, 1.0], tol_grid=[1e-4], seed=9, max_iter=25),
+            dict(ns=[5, 24], trials=3, thetas=[0.4, 1.0, 0.8], tol_grid=[1e-2, 1e-7], dist="sparse", density=0.2),
+            dict(ns=[3, 12], trials=2, thetas=[1.0, 0.2], tol_grid=[1e-5], seed=3, dist="sparse", density=0.6),
+        ]
+        for cfg in configs:
+            assert convergence_study(**cfg) == ref_convergence_study(**cfg), cfg
+
+    def test_run_trials_one_record_list_per_theta(self):
+        thetas = [0.3, 1.0, 0.7]
+        by_theta = run_trials(n=6, trials=4, thetas=thetas, stop_tol=1e-6, seed=2)
+        assert [len(recs) for recs in by_theta] == [4, 4, 4]
+        for theta, recs in zip(thetas, by_theta):
+            for rec in recs:
+                ref = ref_heuristic_balance(trial_matrix(6, 2, rec.trial), theta, 1000, 1e-6)
+                np.testing.assert_array_equal(rec.rel_changes, [s.rel_change for s in ref.iterations[1:]])
+                assert rec.final_objective == ref.objective
+                assert rec.converged == ref.converged
+
+    def test_long_and_generous_runs(self):
+        # past the first block of recorded changes, and a max_iter far beyond
+        # any memory a preallocation could take
+        # a full-step orbit whose objective moves by an ulp at every update
+        m = np.array([[0.44, 0.95, 0.0], [0.43, 0.0, 0.0], [0.0, 0.46, 0.0]])
+        runs = _balance_runs(m, [1.0, 0.5], 3000, 1e-9)
+        assert runs.updates[0] == 3000 and runs.oscillating[0] and runs.converged[1]
+        ref = ref_heuristic_balance(m, 1.0, 3000, 1e-9)
+        expected = [s.rel_change for s in ref.iterations[1:]]
+        assert len(expected) == 3000 and min(expected) > 0
+        np.testing.assert_array_equal(runs.rel[:3000, 0], expected)
+        short = heuristic_balance(OSC, theta=0.5, max_iter=200, tol=1e-9)
+        huge = heuristic_balance(OSC, theta=0.5, max_iter=10**15, tol=1e-9)
+        assert huge.converged and huge.updates == short.updates
+        (recs,) = run_trials(n=4, trials=2, thetas=[0.5], stop_tol=1e-6, max_iter=10**15)
+        assert all(r.converged for r in recs)
+
+    def test_run_trials_validates_every_theta(self):
+        for bad in (0.0, 1.5, float("nan")):
+            with pytest.raises(ValidationError, match="theta"):
+                run_trials(n=3, trials=1, thetas=[0.5, bad], stop_tol=1e-3)
+        with pytest.raises(ValidationError, match="theta"):
+            run_trials(n=3, trials=1, thetas=[], stop_tol=1e-3)
+
+
 class TestStudy:
     def test_single_trial_deterministic(self):
-        r1 = run_trials(n=2, trials=1, theta=0.5, stop_tol=1e-3, seed=42)
-        r2 = run_trials(n=2, trials=1, theta=0.5, stop_tol=1e-3, seed=42)
+        (r1,) = run_trials(n=2, trials=1, thetas=[0.5], stop_tol=1e-3, seed=42)
+        (r2,) = run_trials(n=2, trials=1, thetas=[0.5], stop_tol=1e-3, seed=42)
         np.testing.assert_array_equal(r1[0].rel_changes, r2[0].rel_changes)
         assert r1[0].final_objective == r2[0].final_objective
 

@@ -91,6 +91,18 @@ class TestAnalyze:
         assert out == ""
         assert "sys.json: " in err and "internal error" not in err
 
+    def test_subset_max_above_n_is_clipped(self, capsys, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("0,1\n0.25,0\n")
+        outs = []
+        for cap in ("99", "2"):
+            code, out, _ = run_cli(capsys, "analyze", str(path), "--subset-max", cap)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        code, out, err = run_cli(capsys, "analyze", str(path), "--subset-max", "0")
+        assert code == 2 and out == "" and "max_subset_size" in err
+
     def test_report_file_out(self, capsys, tmp_path, ring4_csv):
         out_path = tmp_path / "report.json"
         code, out, _ = run_cli(capsys, "analyze", ring4_csv, "--out", str(out_path))

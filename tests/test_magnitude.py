@@ -42,6 +42,24 @@ class TestMagnitudeMatrixOp:
         with pytest.raises(ValidationError):
             FirSystem(n=1, entries={(1, 1): (float("nan"),)})
 
+    @pytest.mark.parametrize(
+        "n, coeffs",
+        [(True, (1.0,)), (1, (True, 2)), (1, ("0.5",)), (1, (np.bool_(True),))],
+        ids=["bool-dimension", "bool-coefficient", "string-coefficient", "numpy-bool-coefficient"],
+    )
+    def test_non_numeric_field_rejected(self, n, coeffs):
+        with pytest.raises(ValidationError):
+            FirSystem(n=n, entries={(1, 1): coeffs})
+
+    @pytest.mark.parametrize("key", [(1.5, 1), (True, 2), (1, "2")])
+    def test_non_integer_index_rejected(self, key):
+        with pytest.raises(ValidationError):
+            FirSystem(n=2, entries={key: (1.0,)})
+
+    def test_numpy_coefficients_accepted(self):
+        sys = FirSystem(n=1, entries={(np.int64(1), 1): (np.float64(0.5), np.int64(-2))})
+        assert magnitude_matrix(sys).m[0, 0] == 2.5
+
     def test_additive_over_disjoint_entry_maps(self):
         e1 = {(1, 2): (0.5, -0.25), (2, 2): (1.0,)}
         e2 = {(1, 1): (2.0,), (2, 1): (0.0, 3.0)}

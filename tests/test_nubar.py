@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,26 @@ class TestCertificate:
 
 
 class TestBalancedSolution:
+    def test_wide_range_scaling_without_overflow_warning(self):
+        # every live log weight lies below -710 once shifted, and node 3 is
+        # masked: exp(0 - top) on it would overflow
+        m = np.zeros((6, 6))
+        for (i, j), e in {(1, 0): -136, (1, 5): -142, (2, 4): 16, (3, 5): 100,
+                          (4, 1): 100, (4, 3): -18, (5, 4): 134}.items():
+            m[i, j] = 2.0 ** e
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = balanced_solution(m)
+        # bits recorded before the masked entries left the exponential
+        assert r.value.hex() == "0x1.fffffffffffb9p+71"
+        assert [v.hex() for v in r.scaling.d.tolist()] == [
+            "0x1.1c71c71c71db2p-146", "0x1.0000000000000p+0", "0x0.0p+0",
+            "0x1.ffffffffffc32p-181", "0x1.ffffffffffe19p-91", "0x1.ffffffffff608p-153",
+        ]
+        assert not r.scaling.strictly_positive
+        assert r.witness_cycle == (4, 6, 5)
+        assert r.certified and r.balanced
+
     def test_two_cycle_balanced_scaling(self):
         r = balanced_solution([[0.0, 1.0], [0.09, 0.0]])
         d = r.scaling.d / r.scaling.d.max()
