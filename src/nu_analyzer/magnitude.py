@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,12 @@ class FirSystem:
         # a bool is never a count or a coefficient, as in the JSON reader
         if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ValidationError(f"system dimension must be a positive integer, got {self.n!r}")
-        for (i, j), coeffs in self.entries.items():
+        for key, coeffs in self.entries.items():
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise ValidationError(f"entry key {key!r} must be an (i, j) pair")
+            i, j = key
+            if not (isinstance(coeffs, Sequence) or isinstance(coeffs, np.ndarray) and coeffs.ndim == 1):
+                raise ValidationError(f"impulse response at ({i!r}, {j!r}) must be a sequence, got {coeffs!r}")
             if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (i, j)):
                 raise ValidationError(f"entry index ({i!r}, {j!r}) must be a pair of integers")
             if not (1 <= i <= self.n and 1 <= j <= self.n):

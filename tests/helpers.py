@@ -5,10 +5,12 @@ plain itertools search, the spectral oracle goes through characteristic
 polynomial roots, the subset-bound oracle runs ``spectral_radius`` on every
 subset where the library screens them with batched eigenvalues, and the
 scaling-bound oracle bisects with Bellman-Ford where the library runs Karp's
-mean-cycle recursion. The balancing oracle recomputes the heuristic's
-objective with a full n x n pass per update, where the library reads it off
-the column maxima of the next update; the study oracle runs it once per
-(trial, theta), where the library runs all thetas of a trial in one stack.
+mean-cycle recursion. The balancing oracle takes every update's row and
+column maxima and its objective with full n x n passes, where the library
+takes the maxima over per-line candidates certified against the next
+largest entry, and reads the objective off the column maxima; the study
+oracle runs it once per (trial, theta), where the library runs all thetas
+of a trial in one stack.
 The critical-class contraction reference carries its graph as arc tuples and
 per-node offset dicts, where the library contracts weight arrays. The
 exact-value reference scores one gain direction per eigvals call, where the

@@ -13,6 +13,7 @@ from nu_analyzer import (
     trial_matrix,
 )
 
+from nu_analyzer import balancer
 from nu_analyzer.balancer import _balance_runs
 
 from helpers import ref_convergence_study, ref_heuristic_balance
@@ -227,6 +228,90 @@ class TestStackedThetas:
                 run_trials(n=3, trials=1, thetas=[0.5, bad], stop_tol=1e-3)
         with pytest.raises(ValidationError, match="theta"):
             run_trials(n=3, trials=1, thetas=[], stop_tol=1e-3)
+
+
+def _wide_matrices(seed: int, count: int):
+    """n = 17..160, where each row and column has more entries than the
+    update takes as candidates: dense, sparse, exp(U(-20, 20))-wide, and
+    outer(x, 1/x) up to a 10% jitter, whose balanced entries are all alike,
+    so that a candidate maximum is rarely certified."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(17, 161))
+        if k % 4 == 3:
+            x = np.exp(rng.uniform(-5, 5, n))
+            yield np.outer(x, 1 / x) * rng.uniform(0.9, 1.1, (n, n))
+            continue
+        m = rng.random((n, n))
+        if k % 4 == 1:
+            m *= rng.random((n, n)) < rng.uniform(0.03, 0.5)
+        if k % 4 == 2:
+            m *= np.exp(rng.uniform(-20, 20, (n, n)))
+        yield m
+
+
+class TestCertifiedMaxima:
+    """Above n = 16 the update's maxima come from a fixed candidate set,
+    certified against each line's next largest entry; every trajectory must
+    still equal the full-pass oracle bit for bit."""
+
+    THETAS = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+
+    def test_fuzz_against_full_pass(self, monkeypatch):
+        # how each side of an update went: every trajectory certified, or
+        # some or all of them took the full pass
+        seen = set()
+        calls = []
+        line_max, dense_max = balancer._line_max, balancer._dense_max
+
+        def spy_line(op, dense, cand, w, lim, buf):
+            calls.clear()
+            out = line_max(op, dense, cand, w, lim, buf)
+            seen.add("certified" if not calls else "all" if calls[0] == w.shape[0] else "some")
+            return out
+
+        def spy_dense(op, dense, w):
+            calls.append(w.shape[0])
+            return dense_max(op, dense, w)
+
+        monkeypatch.setattr(balancer, "_line_max", spy_line)
+        monkeypatch.setattr(balancer, "_dense_max", spy_dense)
+        for k, m in enumerate(_wide_matrices(seed=47, count=36)):
+            thetas = self.THETAS[k % 3 :: 2]
+            tol, max_iter = (1e-3, 40) if k % 2 else (1e-8, 120)
+            runs = _balance_runs(m, thetas, max_iter, tol)
+            for j, theta in enumerate(thetas):
+                ref = ref_heuristic_balance(m, theta, max_iter, tol)
+                rel = runs.rel[: runs.updates[j], j]
+                np.testing.assert_array_equal(rel, [s.rel_change for s in ref.iterations[1:]])
+                assert runs.objective[j] == ref.objective
+                assert runs.converged[j] == ref.converged
+                assert runs.oscillating[j] == ref.oscillating
+                np.testing.assert_array_equal(runs.final[j], ref.final)
+        assert seen == {"certified", "some", "all"}
+
+    # theta: (max_iters, median_iters) per tolerance of logspace(-1, -6, 11),
+    # recorded when every update took both maxima from full n x n passes
+    PINNED_128 = {
+        0.2: ([1, 1, 1, 1, 1, 5, 6, 22, 34, 34, 34], [1, 1, 1, 1, 1, 4, 5, 21, 27, 28, 31]),
+        0.3: ([1, 1, 1, 1, 1, 4, 10, 22, 23, 23, 23], [1, 1, 1, 1, 1, 3, 7, 18, 19, 19, 21]),
+        0.4: ([1, 1, 1, 1, 2, 3, 8, 17, 18, 18, 18], [1, 1, 1, 1, 1, 3, 8, 14, 15, 15, 16]),
+        0.5: ([1, 1, 1, 1, 2, 3, 8, 14, 14, 14, 14], [1, 1, 1, 1, 2, 3, 7, 11, 12, 12, 12]),
+        0.6: ([1, 1, 1, 1, 2, 5, 7, 12, 12, 12, 12], [1, 1, 1, 1, 2, 3, 7, 10, 10, 10, 10]),
+        0.7: ([1, 1, 1, 1, 2, 4, 7, 10, 11, 11, 11], [1, 1, 1, 1, 2, 3, 5, 8, 9, 9, 10]),
+        0.8: ([1, 1, 1, 1, 2, 4, 9, 9, 10, 11, 14], [1, 1, 1, 1, 1, 3, 7, 8, 9, 10, 12]),
+        0.9: ([1, 1, 1, 1, 2, 4, 8, 11, 16, 21, 26], [1, 1, 1, 1, 1, 3, 7, 10, 13, 15, 18]),
+    }
+
+    def test_study_rows_pinned_at_128(self):
+        tols = list(np.logspace(-1, -6, 11))
+        rows = convergence_study(ns=[128], trials=2, thetas=list(self.PINNED_128), tol_grid=tols)
+        expected = [
+            (128, theta, tol, mx, med, 0)
+            for theta, (maxes, medians) in self.PINNED_128.items()
+            for tol, mx, med in zip(tols, maxes, medians)
+        ]
+        assert [astuple(r) for r in rows] == expected
 
 
 class TestStudy:

@@ -159,6 +159,15 @@ class TestBalance:
         assert data["converged"] is True
         assert data["updates"] == 1
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-3"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, tmp_path, tol):
+        path = tmp_path / "m.csv"
+        write_matrix(np.array([[0.0, 1.0], [0.25, 0.0]]), path)
+        code, out, err = run_cli(capsys, "balance", str(path), f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert "positive and finite" in err
+
     def test_trace_file(self, capsys, tmp_path):
         path = tmp_path / "m.csv"
         write_matrix(np.array([[0.0, 1.0], [0.25, 0.0]]), path)

@@ -56,8 +56,19 @@ class TestMagnitudeMatrixOp:
         with pytest.raises(ValidationError):
             FirSystem(n=2, entries={key: (1.0,)})
 
+    @pytest.mark.parametrize(
+        "entries",
+        [{1: (1.0,)}, {(1, 1): 1.0}, {(1, 1, 1): (1.0,)}],
+        ids=["scalar-key", "scalar-impulse", "triple-key"],
+    )
+    def test_malformed_entry_rejected(self, entries):
+        with pytest.raises(ValidationError):
+            FirSystem(n=2, entries=entries)
+
     def test_numpy_coefficients_accepted(self):
         sys = FirSystem(n=1, entries={(np.int64(1), 1): (np.float64(0.5), np.int64(-2))})
+        assert magnitude_matrix(sys).m[0, 0] == 2.5
+        sys = FirSystem(n=1, entries={(1, 1): np.array([0.5, -2.0])})
         assert magnitude_matrix(sys).m[0, 0] == 2.5
 
     def test_additive_over_disjoint_entry_maps(self):
