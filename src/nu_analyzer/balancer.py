@@ -98,46 +98,38 @@ def _candidates(b: np.ndarray) -> _Candidates:
     return _Candidates(top, np.take_along_axis(b, top, axis=0), rest)
 
 
-def _line_max(op, dense: np.ndarray, cand: _Candidates | None, w: np.ndarray, lim, buf) -> np.ndarray:
-    """``op(dense, w[:, :, None]).max(axis=1)``, from the candidates where
-    they are certified.
+def _line_max(
+    op, dense: np.ndarray, cand: _Candidates | None, w: np.ndarray, lim, buf
+) -> tuple[np.ndarray, bool]:
+    """``_full_max(op, dense, w)``, from the candidates where they are
+    certified, and whether every trajectory fell back to the full pass.
 
     ``dense`` is (n, n), with line i's t-th entry at [t, i]; ``w`` is the
     (k, n) weight stack and ``lim`` its per-trajectory extreme weight, the
     one that makes ``op`` largest. Rounding is monotone and the entries are
     nonnegative, so no entry left out of line i can round above
     ``op(rest_i, lim_k)``. A line whose candidate maximum is at least that
-    bound therefore has the full pass's exact bits. A NaN bound fails the
-    test, as does a weight limit of 0 or inf, where ``op`` can make NaN out of
-    a zero entry left out; every trajectory with a failing line takes the full
-    pass instead. ``buf`` holds at least k x T x n gathered weights.
+    bound therefore has the full pass's exact bits; a NaN bound fails the
+    test. A zero entry left out stays zero unless ``op(0, lim_k)`` is NaN
+    (0 / 0 or 0 * inf), which the full pass would propagate. Every trajectory
+    with a failing line takes the full pass instead. ``buf`` holds at least
+    k x T x n gathered weights. Without candidates, every line takes the full
+    pass.
     """
     if cand is None:
-        # n <= T: every entry is a candidate and no bound is needed; at this
-        # size _dense_max's extra repeat call would cost more than it saves
-        return op(dense, w[:, :, None]).max(axis=1)
+        return _full_max(op, dense, w), False
     g = np.take(w, cand.idx, axis=1, out=buf[: w.shape[0]], mode="clip")
     m = op(cand.vals, g, out=g).max(axis=1)
-    cert = op(cand.rest, lim[:, None]) <= m
-    if cert.all() and 0 < lim.min() and lim.max() < np.inf:
-        return m
-    bad = ~(cert.all(axis=1) & (0 < lim) & (lim < np.inf))
-    if bad.all():
-        return _dense_max(op, dense, w)
-    m[bad] = _dense_max(op, dense, w[bad])
-    return m
+    ok = (op(cand.rest, lim[:, None]) <= m).all(axis=1) & (op(0.0, lim) == 0)
+    if ok.all():
+        return m, False
+    m[~ok] = _full_max(op, dense, w[~ok])
+    return m, not ok.any()
 
 
-def _dense_max(op, dense: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The full pass ``op(dense, w[:, :, None]).max(axis=1)``.
-
-    Each weight is first repeated across its line, so ``op`` runs as one
-    contiguous loop per trajectory instead of one per line: on a stack of
-    eight at n=128 that took about 170 us against 270 us (2-CPU Xeon host).
-    """
-    n = w.shape[1]
-    g = np.repeat(w, n, axis=1).reshape(-1, n, n)
-    return op(dense, g, out=g).max(axis=1)
+def _full_max(op, dense: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Each line's maximum over all n of its weighted entries."""
+    return op(dense, w[:, :, None]).max(axis=1)
 
 
 def _balance_runs(a: np.ndarray, thetas, max_iter: int, tol: float, history: list | None = None) -> _Runs:
@@ -155,7 +147,10 @@ def _balance_runs(a: np.ndarray, thetas, max_iter: int, tol: float, history: lis
     them at n <= 16). A candidate maximum is certified when it is at least
     the line's (T+1)-th largest entry divided by min(d), or times max(dn);
     it then equals the full pass bit for bit, and a trajectory with any
-    uncertified line recomputes that side with the full n x n pass.
+    uncertified line recomputes that side with the full n x n pass. A side
+    on which every trajectory fell back takes the full pass directly in the
+    next update, so inputs whose certificates keep failing, such as
+    outer(x, 1/x), waste the candidates on every other update only.
     """
     n = a.shape[0]
     k = len(thetas)
@@ -184,9 +179,10 @@ def _balance_runs(a: np.ndarray, thetas, max_iter: int, tol: float, history: lis
     prev = np.full(k, float(a.max()))
     osc = np.zeros(k, dtype=bool)
     back = back_scale = None  # the weights one update before d, and their scale
+    skip_rows = skip_cols = False
     for u in range(max_iter):
         lo = None if rows is None else d.min(axis=1)  # read only by the certificate
-        den = _line_max(np.divide, a0t, rows, d, lo, buf)
+        den, skip_rows = _line_max(np.divide, a0t, None if skip_rows else rows, d, lo, buf)
         ratio = d.copy()
         np.divide(np.sqrt(num), np.sqrt(den), out=ratio, where=np.minimum(num, den) > 0)
         dn = stay * d + theta * ratio
@@ -194,7 +190,7 @@ def _balance_runs(a: np.ndarray, thetas, max_iter: int, tol: float, history: lis
         # The objective max_ij a_ij dn_i / dn_j comes off the column maxima the
         # next update needs: rounding is monotone, so max_j num_j / dn_j and the
         # diagonal give the same bits as a pass over the whole scaled matrix.
-        num = _line_max(np.multiply, a0, cols, dn, hi, buf)
+        num, skip_cols = _line_max(np.multiply, a0, None if skip_cols else cols, dn, hi, buf)
         obj = np.maximum(num / dn, diag * dn / dn).max(axis=1)
         rel = np.abs(obj - prev) / np.maximum(prev, 1e-300)
         if u == rel_all.shape[0]:

@@ -258,24 +258,28 @@ class TestCertifiedMaxima:
     THETAS = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
     def test_fuzz_against_full_pass(self, monkeypatch):
-        # how each side of an update went: every trajectory certified, or
-        # some or all of them took the full pass
+        # how each side of an update went: every trajectory certified, some
+        # or all of them took the full pass, or the candidates were skipped
+        # after a side where all of them had
         seen = set()
         calls = []
-        line_max, dense_max = balancer._line_max, balancer._dense_max
+        line_max, full_max = balancer._line_max, balancer._full_max
 
         def spy_line(op, dense, cand, w, lim, buf):
             calls.clear()
             out = line_max(op, dense, cand, w, lim, buf)
-            seen.add("certified" if not calls else "all" if calls[0] == w.shape[0] else "some")
+            if cand is None:
+                seen.add("skipped")
+            else:
+                seen.add("certified" if not calls else "all" if calls[0] == w.shape[0] else "some")
             return out
 
-        def spy_dense(op, dense, w):
+        def spy_full(op, dense, w):
             calls.append(w.shape[0])
-            return dense_max(op, dense, w)
+            return full_max(op, dense, w)
 
         monkeypatch.setattr(balancer, "_line_max", spy_line)
-        monkeypatch.setattr(balancer, "_dense_max", spy_dense)
+        monkeypatch.setattr(balancer, "_full_max", spy_full)
         for k, m in enumerate(_wide_matrices(seed=47, count=36)):
             thetas = self.THETAS[k % 3 :: 2]
             tol, max_iter = (1e-3, 40) if k % 2 else (1e-8, 120)
@@ -288,7 +292,7 @@ class TestCertifiedMaxima:
                 assert runs.converged[j] == ref.converged
                 assert runs.oscillating[j] == ref.oscillating
                 np.testing.assert_array_equal(runs.final[j], ref.final)
-        assert seen == {"certified", "some", "all"}
+        assert seen == {"certified", "some", "all", "skipped"}
 
     # theta: (max_iters, median_iters) per tolerance of logspace(-1, -6, 11),
     # recorded when every update took both maxima from full n x n passes
