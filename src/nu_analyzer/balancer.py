@@ -128,14 +128,38 @@ def _line_max(
 
 
 def _full_max(op, dense: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Each line's maximum over all n of its weighted entries."""
-    return op(dense, w[:, :, None]).max(axis=1)
+    """Each line's maximum over all n of its weighted entries.
+
+    Above n = T the trajectories take turns in one n x n buffer, so that a
+    fallback holds no (k, n, n) stack; the maxima have the same bits.
+    """
+    if dense.shape[0] <= _CANDIDATES:
+        return op(dense, w[:, :, None]).max(axis=1)
+    tmp = np.empty_like(dense)
+    m = np.empty(w.shape)
+    for wj, mj in zip(w, m):
+        op(dense, wj[:, None], out=tmp).max(axis=0, out=mj)
+    return m
 
 
-def _balance_runs(a: np.ndarray, thetas, max_iter: int, tol: float, history: list | None = None) -> _Runs:
+def _balance_runs(
+    a: np.ndarray,
+    thetas,
+    max_iter: int,
+    tol: float,
+    history: list | None = None,
+    *,
+    until_crossing: bool = False,
+) -> _Runs:
     """The iteration of ``heuristic_balance`` on ``a``, one trajectory per
     step parameter, all of them in one (K, n) update.
 
+    A trajectory stops once its objective's relative change and its weights
+    settle below ``tol`` without oscillating, or at ``max_iter`` updates.
+    With ``until_crossing`` it stops instead at the first update whose
+    relative change is at most ``tol``, which is all that the convergence
+    study reads; ``converged`` then marks the trajectories that crossed, and
+    oscillation is not tracked.
     A trajectory that stops leaves the stack. Every operation is elementwise
     or a max-reduction along one trajectory's row, so each trajectory has the
     bits it would have alone. ``history``, if given, receives the weights and
@@ -196,11 +220,13 @@ def _balance_runs(a: np.ndarray, thetas, max_iter: int, tol: float, history: lis
         if u == rel_all.shape[0]:
             rel_all = np.concatenate((rel_all, np.empty_like(rel_all)))
         rel_all[u, act] = rel
-        step = np.abs(dn - d).max(axis=1)
-        if back is not None:
-            close2 = np.abs(dn - back).max(axis=1) <= 1e-9 * back_scale
-            osc |= close2 & ~(step <= 1e-9 * scale)
-        done = (rel <= tol) & (step <= tol * scale) & ~osc
+        done = rel <= tol
+        if not until_crossing:
+            step = np.abs(dn - d).max(axis=1)
+            if back is not None:
+                close2 = np.abs(dn - back).max(axis=1) <= 1e-9 * back_scale
+                osc |= close2 & ~(step <= 1e-9 * scale)
+            done &= (step <= tol * scale) & ~osc
         if history is not None:
             history.append((dn, obj))
         back, back_scale = d, scale
@@ -313,6 +339,14 @@ def run_trials(
     return records
 
 
+def _first_crossings(rel: np.ndarray, tols: np.ndarray, never: int) -> np.ndarray:
+    """Updates until ``rel`` first drops to each of ``tols``, ``never`` for a
+    tolerance it does not reach. A NaN change reaches none."""
+    low = np.minimum.accumulate(np.where(np.isnan(rel), np.inf, rel))
+    hit = np.searchsorted(-low, -tols)  # low is non-increasing
+    return np.where(hit < rel.size, hit + 1, never)
+
+
 def convergence_study(
     ns: list[int],
     trials: int,
@@ -325,11 +359,13 @@ def convergence_study(
 ) -> list[StudyRow]:
     """Iteration counts to reach each tolerance, aggregated over trials.
 
-    For every n the same seeded matrices are run once down to the tightest
-    tolerance; crossing counts for looser tolerances are read off the
-    recorded trace. All thetas of one trial matrix run together through
-    ``run_trials``. ``max_iters``/``median_iters`` are -1 when no trial
-    reaches the tolerance.
+    For every n the same seeded matrices are balanced with all thetas of one
+    matrix in one stacked run, and each trajectory stops at its first
+    crossing of the tightest tolerance (or at ``max_iter``): every looser
+    tolerance is crossed no later, so its count is read off the recorded
+    changes. ``run_trials`` runs the same trajectories on to convergence.
+    ``max_iters``/``median_iters`` are -1 when no trial reaches the
+    tolerance; ``median_iters`` rounds a half down, like ``int(np.median)``.
     """
     if trials < 1 or not ns or not thetas or not tol_grid:
         raise ValidationError("study needs at least one n, theta, tolerance and trial")
@@ -337,22 +373,37 @@ def convergence_study(
         raise ValidationError("tolerances must be positive and finite")
     if any(n < 1 for n in ns):
         raise ValidationError(f"matrix sizes must be at least 1, got {ns}")
-    rows: list[StudyRow] = []
     stop_tol = min(tol_grid)
+    _check_params(thetas, stop_tol, max_iter)
+    tols = np.asarray(tol_grid, dtype=float)
+    never = max_iter + 1
+    rows: list[StudyRow] = []
     for n in ns:
-        by_theta = run_trials(n, trials, thetas, stop_tol, max_iter, seed, dist, density)
-        for theta, records in zip(thetas, by_theta):
-            for tol in tol_grid:
-                counts = [r.iterations_to(tol) for r in records]
-                hits = [c for c in counts if c is not None]
+        # counts[k, t, trial]: updates until theta k's trajectory reaches tols[t]
+        counts = np.empty((len(thetas), tols.size, trials), dtype=np.int64)
+        for trial in range(trials):
+            m = trial_matrix(n, seed, trial, dist, density)
+            runs = _balance_runs(m, thetas, max_iter, stop_tol, until_crossing=True)
+            for k, u in enumerate(runs.updates):
+                counts[k, :, trial] = _first_crossings(runs.rel[:u, k], tols, never)
+        counts.sort(axis=2)  # trials that never cross come last
+        hits = (counts < never).sum(axis=2)
+        # positions of the largest hit and of the two middle ones
+        pos = np.maximum(np.stack((hits - 1, (hits - 1) // 2, hits // 2)), 0)
+        top, lo, hi = (np.take_along_axis(counts, p[..., None], axis=2)[..., 0] for p in pos)
+        max_iters = np.where(hits > 0, top, -1).tolist()
+        median_iters = np.where(hits > 0, lo + (hi - lo) // 2, -1).tolist()
+        failures = (trials - hits).tolist()
+        for k, theta in enumerate(thetas):
+            for t, tol in enumerate(tol_grid):
                 rows.append(
                     StudyRow(
                         n=int(n),
                         theta=float(theta),
                         tol=float(tol),
-                        max_iters=max(hits) if hits else -1,
-                        median_iters=int(np.median(hits)) if hits else -1,
-                        failures=trials - len(hits),
+                        max_iters=max_iters[k][t],
+                        median_iters=median_iters[k][t],
+                        failures=failures[k][t],
                     )
                 )
     return rows

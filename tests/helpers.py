@@ -9,8 +9,9 @@ mean-cycle recursion. The balancing oracle takes every update's row and
 column maxima and its objective with full n x n passes, where the library
 takes the maxima over per-line candidates certified against the next
 largest entry, and reads the objective off the column maxima; the study
-oracle runs it once per (trial, theta), where the library runs all thetas
-of a trial in one stack.
+oracle runs it once per (trial, theta) until it converges, where the
+library runs all thetas of a trial in one stack and stops each trajectory
+at its first crossing of the tightest tolerance.
 The critical-class contraction reference carries its graph as arc tuples and
 per-node offset dicts, where the library contracts weight arrays. The
 exact-value reference scores one gain direction per eigvals call, where the

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from dataclasses import astuple
 
@@ -14,7 +15,7 @@ from nu_analyzer import (
 )
 
 from nu_analyzer import balancer
-from nu_analyzer.balancer import _balance_runs
+from nu_analyzer.balancer import TrialRecord, _balance_runs
 
 from helpers import ref_convergence_study, ref_heuristic_balance
 
@@ -190,9 +191,49 @@ class TestStackedThetas:
             dict(ns=[2, 9, 33], trials=2, thetas=[0.3, 0.6, 1.0], tol_grid=[1e-4], seed=9, max_iter=25),
             dict(ns=[5, 24], trials=3, thetas=[0.4, 1.0, 0.8], tol_grid=[1e-2, 1e-7], dist="sparse", density=0.2),
             dict(ns=[3, 12], trials=2, thetas=[1.0, 0.2], tol_grid=[1e-5], seed=3, dist="sparse", density=0.6),
+            # the study stops each trajectory at its first crossing of the
+            # tightest tolerance: above n = 16 long before it settles, ...
+            dict(ns=[20, 40], trials=3, thetas=[0.2, 0.5, 0.9], tol_grid=[1e-2, 1e-5, 1e-8], seed=11),
+            # ... on a full step that oscillates, ...
+            dict(ns=[2, 4], trials=3, thetas=[1.0, 0.6], tol_grid=[1e-3, 1e-9], seed=1),
+            # ... and at max_iter when it never crosses
+            dict(ns=[3, 18], trials=2, thetas=[0.2, 0.7], tol_grid=[1e-1, 1e-12], max_iter=6),
         ]
         for cfg in configs:
             assert convergence_study(**cfg) == ref_convergence_study(**cfg), cfg
+
+    def test_crossing_stop_is_the_full_runs_prefix(self):
+        # each trajectory stops at its first relative change <= tol, or at
+        # max_iter, having recorded the full run's changes bit for bit
+        seen = {"earlier": 0, "never": 0}
+        wide = ((m, None) for m in _wide_matrices(seed=53, count=8))
+        for k, (m, _) in enumerate(itertools.chain(_fuzz_matrices(seed=51, count=80), wide)):
+            thetas = self.THETA_SETS[k % len(self.THETA_SETS)]
+            tol, max_iter = (1e-3, 40) if k % 2 else (1e-8, 80)
+            full = _balance_runs(m, thetas, max_iter, tol)
+            cut = _balance_runs(m, thetas, max_iter, tol, until_crossing=True)
+            for j in range(len(thetas)):
+                rel = full.rel[: full.updates[j], j]
+                hits = np.flatnonzero(rel <= tol)
+                first = hits[0] + 1 if hits.size else max_iter
+                assert cut.updates[j] == first
+                assert cut.converged[j] == bool(hits.size)
+                np.testing.assert_array_equal(cut.rel[:first, j].view(np.int64), rel[:first].view(np.int64))
+                seen["earlier"] += first < full.updates[j]
+                seen["never"] += not hits.size
+        assert all(seen.values()), seen
+        # a change equal to tol is a crossing: its second change is a new low
+        m = trial_matrix(3, 0, 0)
+        tol = float(_balance_runs(m, [0.3], 60, 1e-12).rel[1, 0])
+        assert _balance_runs(m, [0.3], 60, tol, until_crossing=True).updates[0] == 2
+
+    def test_first_crossings_never_count_nan(self):
+        rel = np.array([np.nan, 0.5, np.nan, 1e-3, 0.2, 1e-9])
+        tols = np.array([1.0, 1e-2, 1e-3, 1e-6, 1e-12])
+        assert balancer._first_crossings(rel, tols, 99).tolist() == [2, 4, 4, 6, 99]
+        rec = TrialRecord(0, rel, 0.0, False)
+        assert [rec.iterations_to(t) for t in tols] == [2, 4, 4, 6, None]
+        assert balancer._first_crossings(np.full(3, np.nan), tols, 99).tolist() == [99] * 5
 
     def test_run_trials_one_record_list_per_theta(self):
         thetas = [0.3, 1.0, 0.7]
@@ -396,3 +437,8 @@ class TestStudy:
         for bad in (-1.0, 0.0, 1.5, float("nan"), float("inf")):
             with pytest.raises(ValidationError, match="density"):
                 convergence_study(ns=[2], trials=1, thetas=[0.5], tol_grid=[1e-3], dist="sparse", density=bad)
+        for bad in (0.0, 1.5, float("nan")):
+            with pytest.raises(ValidationError, match="theta"):
+                convergence_study(ns=[2], trials=1, thetas=[0.5, bad], tol_grid=[1e-3])
+        with pytest.raises(ValidationError, match="max_iter"):
+            convergence_study(ns=[2], trials=1, thetas=[0.5], tol_grid=[1e-3], max_iter=0)

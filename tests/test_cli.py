@@ -240,6 +240,21 @@ class TestBench:
         assert out == ""
         assert "positive and finite" in err
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--thetas", "0"], "theta must lie in (0, 1]"),
+            (["--thetas", "0.5,1.5"], "theta must lie in (0, 1]"),
+            (["--thetas", "0.5", "--max-iter", "0"], "max_iter must be at least 1"),
+        ],
+        ids=["zero-theta", "theta-above-one", "zero-max-iter"],
+    )
+    def test_step_parameters_are_validated(self, capsys, extra, message):
+        code, out, err = run_cli(capsys, "bench", "--trials", "1", "--ns", "3", *extra)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     @pytest.mark.parametrize("density", ["-1", "0", "1.5", "nan"])
     def test_density_outside_unit_interval_is_invalid_input(self, capsys, density):
         args = ["bench", "--trials", "1", "--thetas", "0.5", "--ns", "3", "--tols", "0.01",
