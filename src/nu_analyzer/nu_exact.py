@@ -134,6 +134,116 @@ def _simplex_grid(n: int, grid: int) -> np.ndarray:
 
 # Divisions per axis of the oracle's coarse simplex grid, by dimension.
 _ORACLE_GRID = {1: 1, 2: 64, 3: 24, 4: 14}
+# Grid rows per eigvals stack; each stack after the first is pruned against
+# the best root of the stacks before it.
+_GRID_CHUNK = 64
+
+
+def _coarse_search(a: np.ndarray, dirs: np.ndarray) -> tuple[float, np.ndarray]:
+    """The one-at-a-time scan of the grid, in grid order: a direction
+    replaces the incumbent only if its root beats the incumbent's by more
+    than 1e-15, and the first such direction wins.
+
+    The rows go to ``eigvals`` in chunks. Before each chunk after the first,
+    a row is dropped when the Perron bound min(max row sum, max column sum)
+    of diag(direction) M, times 1 + 1e-9, is not above the running best: the
+    computed root exceeds the true one by about n^2 * 1e-16 relative at most,
+    so it could not beat the incumbent, and the incumbent only grows.
+    """
+    bounds = np.minimum((dirs * a.sum(axis=1)).max(axis=1), (dirs @ a).max(axis=1))
+    bounds *= 1.0 + 1e-9
+    best, best_dir = -1.0, dirs[0]
+    for start in range(0, dirs.shape[0], _GRID_CHUNK):
+        rows = np.arange(start, min(start + _GRID_CHUNK, dirs.shape[0]))
+        rows = rows[bounds[rows] > best]
+        if not rows.size:
+            continue
+        roots = _perron_roots(dirs[rows, :, None] * a)
+        for i, r in zip(rows.tolist(), roots.tolist()):
+            if r > best + 1e-15:
+                best, best_dir = r, dirs[i]
+    return best, best_dir
+
+
+def _finish_sweep(
+    a: np.ndarray, start: np.ndarray, improved: np.ndarray, best: float,
+    h: float, k: int, cands: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """The rest of one refinement sweep, one coordinate at a time, from the
+    values ``cands`` still to try at coordinate ``k``.
+
+    Windows are centred on the sweep-start incumbent ``start``; trials take
+    the incumbent ``improved`` of the moment. The values not yet tried at a
+    coordinate form one stack, each row renormalized to sum one; when one
+    improves, the first improving value is accepted and the values after it
+    are stacked again from the new incumbent.
+    """
+    n = a.shape[0]
+    while True:
+        while cands.size:
+            trials = np.repeat(improved[None, :], cands.size, axis=0)
+            trials[:, k] = cands
+            totals = trials.sum(axis=1)
+            # the last value is positive, so at least one row stays
+            rows = np.flatnonzero(totals > 0)
+            trials = trials[rows] / totals[rows, None]
+            roots = _perron_roots(trials[:, :, None] * a)
+            hits = np.flatnonzero(roots > best + 1e-15)
+            if not hits.size:
+                break
+            j = hits[0]
+            best, improved = float(roots[j]), trials[j]
+            cands = cands[rows[j] + 1:]
+        k += 1
+        if k == n:
+            return best, improved
+        cands = np.linspace(max(0.0, start[k] - h), start[k] + h, 17)
+
+
+def _refine(a: np.ndarray, best: float, best_dir: np.ndarray, h: float) -> tuple[float, np.ndarray]:
+    """Per-coordinate refinement with the window halved from ``h`` until it
+    is below 1e-8, speculating over runs of sweeps.
+
+    While no candidate improves, every candidate of every later sweep depends
+    only on the incumbent and on the window, so a run of sweeps is built at
+    once, over every coordinate and all 17 values, and scored in one stack.
+    The run doubles while nothing improves. At the first improving row in
+    search order that row is accepted and its sweep is finished by
+    ``_finish_sweep``; the next run is one sweep.
+    """
+    n = a.shape[0]
+    steps = []
+    while h >= 1e-8:
+        steps.append(h)
+        h *= 0.5
+    i, run = 0, 1
+    while i < len(steps):
+        hs = np.array(steps[i:i + run])
+        # every window is at least h wide, so the stacked linspace takes the
+        # same steps, bit for bit, as one call per window
+        lo = np.maximum(best_dir - hs[:, None], 0.0)
+        cands = np.linspace(lo, best_dir + hs[:, None], 17, axis=-1)
+        trials = np.empty((hs.size, n, 17, n))
+        trials[...] = best_dir
+        for k in range(n):
+            trials[:, k, :, k] = cands[:, k]
+        totals = trials.sum(axis=-1)
+        rows = np.flatnonzero(totals > 0)
+        live = trials.reshape(-1, n)[rows] / totals.reshape(-1)[rows, None]
+        roots = _perron_roots(live[:, :, None] * a)
+        hits = np.flatnonzero(roots > best + 1e-15)
+        if not hits.size:
+            i += hs.size
+            run *= 2
+            continue
+        s, k, j = np.unravel_index(rows[hits[0]], totals.shape)
+        best, improved = float(roots[hits[0]]), live[hits[0]]
+        best, best_dir = _finish_sweep(
+            a, best_dir, improved, best, steps[i + s], int(k), cands[s, k, j + 1:]
+        )
+        i += s + 1
+        run = 1
+    return best, best_dir
 
 
 def nu_oracle(M) -> NuResult:
@@ -145,16 +255,22 @@ def nu_oracle(M) -> NuResult:
     deterministic grid is followed by per-coordinate refinement with a
     window halved from one grid step until it is below 1e-8.
 
-    The roots are taken in stacks, one ``eigvals`` call per stack, while the
-    acceptance stays that of a one-at-a-time search: a direction replaces the
-    incumbent only if its root beats the incumbent's by more than 1e-15, and
-    the first such direction in order wins. The whole grid is one stack,
-    scanned in grid order. In the refinement, coordinate k of the incumbent
-    takes 17 evenly spaced values across the window; the values not yet
-    tried form one stack, each row renormalized to sum one. When one of them
-    improves, the first improving value is accepted and the values after it
-    are stacked again from the new incumbent, so every candidate is scored
-    against the incumbent a one-at-a-time search would hold.
+    The roots are taken in a few large stacks, one ``eigvals`` call per
+    stack, while the value and witness stay bit for bit those of a
+    one-at-a-time search: a direction replaces the incumbent only if its
+    root beats the incumbent's by more than 1e-15, the first such direction
+    in order wins, and every candidate is scored against the incumbent that
+    search would hold. Each row's root is the same in any stack.
+
+    The grid is scanned in grid order, in chunks; a row whose Perron bound
+    cannot beat the running best is dropped before ``eigvals``, since it
+    could not have been accepted (``_coarse_search``). In the refinement,
+    coordinate k of the incumbent takes 17 evenly spaced values across a
+    window centred on the sweep's starting incumbent, each trial
+    renormalized to sum one. While nothing improves, these candidates depend
+    only on the incumbent and the window, so a run of whole sweeps is scored
+    in one stack, and the run doubles; from the first improving candidate
+    the sweep is finished coordinate by coordinate (``_refine``).
     """
     a = as_array(M)
     n = a.shape[0]
@@ -163,35 +279,8 @@ def nu_oracle(M) -> NuResult:
             f"oracle supports n <= 4 (got n={n}); use the spectral and scaling bounds instead"
         )
     grid = _ORACLE_GRID[n]
-    dirs = _simplex_grid(n, grid)
-    best_dir = None
-    best = -1.0
-    for direction, r in zip(dirs, _perron_roots(dirs[:, :, None] * a)):
-        if r > best + 1e-15:
-            best, best_dir = float(r), direction
-    h = 1.0 / grid
-    while h >= 1e-8:
-        improved_dir = best_dir
-        for k in range(n):
-            lo = max(0.0, best_dir[k] - h)
-            hi = best_dir[k] + h
-            cands = np.linspace(lo, hi, 17)
-            while cands.size:
-                trials = np.repeat(improved_dir[None, :], cands.size, axis=0)
-                trials[:, k] = cands
-                totals = trials.sum(axis=1)
-                # the last value is positive, so at least one row stays
-                rows = np.flatnonzero(totals > 0)
-                trials = trials[rows] / totals[rows, None]
-                roots = _perron_roots(trials[:, :, None] * a)
-                hits = np.flatnonzero(roots > best + 1e-15)
-                if not hits.size:
-                    break
-                j = hits[0]
-                best, improved_dir = float(roots[j]), trials[j]
-                cands = cands[rows[j] + 1:]
-        best_dir = improved_dir
-        h *= 0.5
+    best, best_dir = _coarse_search(a, _simplex_grid(n, grid))
+    best, best_dir = _refine(a, best, best_dir, 1.0 / grid)
     if best <= 0.0:
         return NuResult(0.0, np.zeros(n), METHOD_ORACLE)
     witness = best_dir / best

@@ -14,8 +14,9 @@ library runs all thetas of a trial in one stack and stops each trajectory
 at its first crossing of the tightest tolerance.
 The critical-class contraction reference carries its graph as arc tuples and
 per-node offset dicts, where the library contracts weight arrays. The
-exact-value reference scores one gain direction per eigvals call, where the
-library scores stacks of them.
+exact-value reference scores every gain direction, one per eigvals call,
+where the library drops grid directions whose row/column-sum bound cannot
+beat the running best and scores runs of refinement sweeps in one stack.
 The subset-screen reference sends every subset to eigvals, where the library
 first drops those whose row/column-sum bound cannot reach the top.
 """
@@ -410,17 +411,24 @@ def _ref_simplex_grid(n: int, grid: int):
         yield np.array(parts, dtype=float) / grid
 
 
+def ref_coarse_search(a: np.ndarray, grid: int) -> tuple[float, np.ndarray]:
+    """The oracle's grid stage scoring every direction, one eigvals call
+    each, in grid order."""
+    best_dir = None
+    best = -1.0
+    for direction in _ref_simplex_grid(a.shape[0], grid):
+        r = float(_perron_roots(direction[:, None] * a))
+        if r > best + 1e-15:
+            best, best_dir = r, direction
+    return best, best_dir
+
+
 def ref_nu_oracle(M) -> NuResult:
     """nu_oracle with one eigvals call per direction, in search order."""
     a = as_array(M)
     n = a.shape[0]
     grid = _ORACLE_GRID[n]
-    best_dir = None
-    best = -1.0
-    for direction in _ref_simplex_grid(n, grid):
-        r = float(_perron_roots(direction[:, None] * a))
-        if r > best + 1e-15:
-            best, best_dir = r, direction
+    best, best_dir = ref_coarse_search(a, grid)
     h = 1.0 / grid
     while h >= 1e-8:
         improved_dir = best_dir

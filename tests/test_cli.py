@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import nu_analyzer
-from nu_analyzer import SpectralResult, read_report, ring_matrix, write_matrix
+from nu_analyzer import (
+    SpectralResult,
+    nu_oracle,
+    read_matrix,
+    read_report,
+    ring_matrix,
+    write_matrix,
+)
 from nu_analyzer.cli import build_report, grid_records, main
 
 from helpers import enum_max_cycle_mean, mixed_corpus
@@ -55,6 +62,20 @@ class TestAnalyze:
         data = json.loads(out)
         assert data["nu_exact"]["value"] == pytest.approx(0.75, rel=1e-9)
         assert data["nu_exact"]["method"] == "closed_form_2x2"
+
+    @pytest.mark.parametrize("seed", [[3, 0, 3, 0], [1, 0, 4, 0]], ids=["n3", "n4"])
+    def test_oracle_flag_grid_search(self, capsys, tmp_path, seed):
+        m = np.random.default_rng(seed).random((seed[2], seed[2]))
+        path = tmp_path / "m.csv"
+        write_matrix(m, path)
+        code, out, _ = run_cli(capsys, "analyze", str(path), "--oracle")
+        assert code == 0
+        data = json.loads(out)
+        assert data["nu_exact"]["method"] == "oracle"
+        assert data["nu_exact"]["value"] == nu_oracle(read_matrix(path)).value
+        assert data["nu_lower"]["bound"] <= data["nu_exact"]["value"] * (1 + 1e-9)
+        assert data["nu_exact"]["value"] <= data["nubar"]
+        assert run_cli(capsys, "analyze", str(path), "--oracle")[1] == out
 
     def test_system_json_input(self, capsys, tmp_path):
         path = tmp_path / "sys.json"

@@ -7,6 +7,7 @@ from nu_analyzer import (
     METHOD_RING,
     ValidationError,
     nu_2x2,
+    nu_exact,
     nu_oracle,
     nu_ring,
     nu_ring_from_matrix,
@@ -14,8 +15,10 @@ from nu_analyzer import (
     ring_matrix,
     spectral_radius,
 )
+from nu_analyzer.nu_exact import _ORACLE_GRID, _simplex_grid
+from nu_analyzer.spectral import _perron_roots
 
-from helpers import positive_diagonal, ref_nu_oracle
+from helpers import positive_diagonal, ref_coarse_search, ref_nu_oracle
 
 
 def witness_is_destabilizing(m, witness, tol=1e-6):
@@ -192,10 +195,56 @@ def oracle_corpus(seed: int) -> list[np.ndarray]:
     return out
 
 
+def workload_corpus() -> list[np.ndarray]:
+    """The oracle inputs of the dense analyze benchmark, which mix searches
+    without any refinement improvement and with 30 or more
+    (``default_rng([3, 0, 3, 0])`` takes 32), then tie-heavy matrices."""
+    out = [np.random.default_rng([seed, r, n, 0]).random((n, n))
+           for seed in range(1, 11) for r in range(2) for n in (3, 4)]
+    out += [np.ones((4, 4)), np.diag([0.5, 0.9, 0.9, 0.2]), ring_matrix(np.ones(4)).m]
+    rng = np.random.default_rng(47)
+    out += [np.round(3.0 * rng.random((n, n))) / 3.0 for n in (2, 3, 4, 4)]
+    return out
+
+
+def counting_roots(monkeypatch) -> list[int]:
+    """Replace the oracle's eigvals stacks with a wrapper that records each
+    stack's row count."""
+    rows: list[int] = []
+
+    def counting(stack):
+        rows.append(stack.shape[0])
+        return _perron_roots(stack)
+
+    monkeypatch.setattr(nu_exact, "_perron_roots", counting)
+    return rows
+
+
 class TestNuOracleBitwise:
     def test_fuzz_matches_sequential_reference(self):
-        for m in oracle_corpus(seed=46):
+        for m in oracle_corpus(seed=46) + workload_corpus():
             got, ref = nu_oracle(m), ref_nu_oracle(m)
             assert got.value == ref.value, m
             np.testing.assert_array_equal(got.witness_delta, ref.witness_delta)
             assert got.method == ref.method
+
+    def test_pruned_grid_matches_full_grid(self, monkeypatch):
+        rows = counting_roots(monkeypatch)
+        scored = total = 0
+        for m in oracle_corpus(seed=46) + workload_corpus():
+            n = m.shape[0]
+            dirs = _simplex_grid(n, _ORACLE_GRID[n])
+            rows.clear()
+            best, best_dir = nu_exact._coarse_search(m, dirs)
+            scored += sum(rows)
+            total += dirs.shape[0]
+            ref_best, ref_dir = ref_coarse_search(m, _ORACLE_GRID[n])
+            assert best == ref_best, m
+            np.testing.assert_array_equal(best_dir, ref_dir)
+        assert scored < 0.7 * total  # 26,738 of 44,239 grid rows reach eigvals
+
+    def test_vertex_optimum_takes_few_stacks(self, monkeypatch):
+        rows = counting_roots(monkeypatch)
+        m = np.random.default_rng([1, 0, 4, 0]).random((4, 4))
+        assert nu_oracle(m).value == ref_nu_oracle(m).value
+        assert len(rows) <= 12  # one stack per coordinate per sweep would be 93
