@@ -90,12 +90,12 @@ class _Candidates(NamedTuple):
 
 
 def _candidates(b: np.ndarray) -> _Candidates:
-    """Candidates of the columns of ``b``, for n > T."""
+    """Candidates of the rows of ``b``, for n > T."""
     n = b.shape[0]
-    part = np.argpartition(b, n - _CANDIDATES - 1, axis=0)
-    top = part[n - _CANDIDATES :].copy()  # a view would keep the n x n partition alive
-    rest = b[part[n - _CANDIDATES - 1], np.arange(n)]
-    return _Candidates(top, np.take_along_axis(b, top, axis=0), rest)
+    part = np.argpartition(b, n - _CANDIDATES - 1, axis=1)
+    line = np.arange(n)
+    top = part[:, n - _CANDIDATES :].T.copy()  # a view would keep the n x n partition alive
+    return _Candidates(top, b[line, top], b[line, part[:, n - _CANDIDATES - 1]])
 
 
 def _line_max(
@@ -130,10 +130,12 @@ def _line_max(
 def _full_max(op, dense: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Each line's maximum over all n of its weighted entries.
 
-    Above n = T the trajectories take turns in one n x n buffer, so that a
-    fallback holds no (k, n, n) stack; the maxima have the same bits.
+    ``dense`` is one n x n matrix shared by the trajectories or, at n <= T,
+    a (k, n, n) stack with one matrix per trajectory. Above n = T the
+    trajectories take turns in one n x n buffer, so that a fallback holds no
+    (k, n, n) stack; the maxima have the same bits.
     """
-    if dense.shape[0] <= _CANDIDATES:
+    if dense.shape[-1] <= _CANDIDATES:
         return op(dense, w[:, :, None]).max(axis=1)
     tmp = np.empty_like(dense)
     m = np.empty(w.shape)
@@ -154,6 +156,9 @@ def _balance_runs(
     """The iteration of ``heuristic_balance`` on ``a``, one trajectory per
     step parameter, all of them in one (K, n) update.
 
+    ``a`` is one n x n matrix or, at n <= T, a stack of m of them; the
+    m K trajectories then form one update, trajectory i K + k running
+    thetas[k] on its own copy of a[i].
     A trajectory stops once its objective's relative change and its weights
     settle below ``tol`` without oscillating, or at ``max_iter`` updates.
     With ``until_crossing`` it stops instead at the first update whose
@@ -176,16 +181,22 @@ def _balance_runs(
     next update, so inputs whose certificates keep failing, such as
     outer(x, 1/x), waste the candidates on every other update only.
     """
-    n = a.shape[0]
-    k = len(thetas)
-    a0 = a.copy()
-    np.fill_diagonal(a0, 0.0)
-    a0t = a0.T.copy()
-    diag = np.diag(a)
+    n = a.shape[-1]
+    a0 = a.reshape(-1, n, n).copy()
+    m = len(a0)
+    k = m * len(thetas)
+    diag = np.repeat(np.diagonal(a0, axis1=1, axis2=2), len(thetas), axis=0)
+    prev = np.repeat(a0.reshape(-1, n * n).max(axis=1), len(thetas))
+    a0[:, np.arange(n), np.arange(n)] = 0.0
+    num = np.repeat(a0.max(axis=1), len(thetas), axis=0)
+    a0t = a0.transpose(0, 2, 1).copy()
     rows = cols = buf = None
     if n > _CANDIDATES:
-        rows, cols = _candidates(a0t), _candidates(a0)
+        (a0,), (a0t,) = a0, a0t  # one matrix (m = 1), shared by its trajectories
+        rows, cols = _candidates(a0), _candidates(a0t)
         buf = np.empty((k, _CANDIDATES, n))  # shared: each side consumes it at once
+    else:
+        a0, a0t = np.repeat(a0, len(thetas), axis=0), np.repeat(a0t, len(thetas), axis=0)
     # doubled on demand: a generous max_iter must not reserve memory up front
     rel_all = np.empty((min(max_iter, 1024), k))
     updates = np.full(k, max_iter)
@@ -195,12 +206,10 @@ def _balance_runs(
     final = np.empty((k, n))
 
     act = np.arange(k)
-    theta = np.asarray(thetas, dtype=float)[:, None]
+    theta = np.tile(np.asarray(thetas, dtype=float), m)[:, None]
     stay = 1.0 - theta
     d = np.ones((k, n))
     scale = np.ones(k)  # max(max(d), 1e-300) per trajectory
-    num = np.tile(a0.max(axis=0), (k, 1))
-    prev = np.full(k, float(a.max()))
     osc = np.zeros(k, dtype=bool)
     back = back_scale = None  # the weights one update before d, and their scale
     skip_rows = skip_cols = False
@@ -241,7 +250,9 @@ def _balance_runs(
             keep = ~done
             act, theta, stay, osc = act[keep], theta[keep], stay[keep], osc[keep]
             d, scale, num, prev = d[keep], scale[keep], num[keep], prev[keep]
-            back, back_scale = back[keep], back_scale[keep]
+            back, back_scale, diag = back[keep], back_scale[keep], diag[keep]
+            if rows is None:
+                a0, a0t = a0[keep], a0t[keep]
             if not act.size:
                 break
     objective[act] = prev
@@ -339,12 +350,24 @@ def run_trials(
     return records
 
 
-def _first_crossings(rel: np.ndarray, tols: np.ndarray, never: int) -> np.ndarray:
-    """Updates until ``rel`` first drops to each of ``tols``, ``never`` for a
-    tolerance it does not reach. A NaN change reaches none."""
-    low = np.minimum.accumulate(np.where(np.isnan(rel), np.inf, rel))
-    hit = np.searchsorted(-low, -tols)  # low is non-increasing
-    return np.where(hit < rel.size, hit + 1, never)
+# trajectories per stacked study run: bounds the run's (trajectories, n, n)
+# matrix copies and its (updates, trajectories) record of changes
+_STACK = 64
+
+
+def _crossings(rel: np.ndarray, updates: np.ndarray, tols: np.ndarray, never: int) -> np.ndarray:
+    """Updates until column j of ``rel`` first drops to each of ``tols``
+    within its first ``updates[j]`` rows, as a (tolerances, columns) array;
+    ``never`` for a tolerance it does not reach. A NaN change reaches none."""
+    u = updates.max()
+    # fmin skips NaN, so the running minimum passes over NaN changes and over
+    # the rows past each column's end; below the first number it is non-increasing
+    low = np.where(np.arange(u)[:, None] < updates, rel[:u], np.nan)
+    np.fmin.accumulate(low, axis=0, out=low)
+    reached = np.empty((tols.size, low.shape[1]), dtype=np.int64)
+    for r, tol in zip(reached, tols):
+        np.sum(low <= tol, axis=0, out=r)  # a suffix of the column
+    return np.where(reached > 0, u - reached + 1, never)
 
 
 def convergence_study(
@@ -360,7 +383,9 @@ def convergence_study(
     """Iteration counts to reach each tolerance, aggregated over trials.
 
     For every n the same seeded matrices are balanced with all thetas of one
-    matrix in one stacked run, and each trajectory stops at its first
+    matrix in one stacked run; at n <= 16, where every update takes full
+    passes, the trials of one size share such runs of up to 64 trajectories.
+    Each trajectory has the bits it has alone, and stops at its first
     crossing of the tightest tolerance (or at ``max_iter``): every looser
     tolerance is crossed no later, so its count is read off the recorded
     changes. ``run_trials`` runs the same trajectories on to convergence.
@@ -381,11 +406,15 @@ def convergence_study(
     for n in ns:
         # counts[k, t, trial]: updates until theta k's trajectory reaches tols[t]
         counts = np.empty((len(thetas), tols.size, trials), dtype=np.int64)
-        for trial in range(trials):
-            m = trial_matrix(n, seed, trial, dist, density)
-            runs = _balance_runs(m, thetas, max_iter, stop_tol, until_crossing=True)
-            for k, u in enumerate(runs.updates):
-                counts[k, :, trial] = _first_crossings(runs.rel[:u, k], tols, never)
+        # above n = T the candidate gathers would grow with the stack and
+        # cost more than the loop that stacking saves
+        per = max(1, _STACK // len(thetas)) if n <= _CANDIDATES else 1
+        for first in range(0, trials, per):
+            batch = range(first, min(first + per, trials))
+            ms = np.stack([trial_matrix(n, seed, trial, dist, density) for trial in batch])
+            runs = _balance_runs(ms, thetas, max_iter, stop_tol, until_crossing=True)
+            hit = _crossings(runs.rel, runs.updates, tols, never).reshape(tols.size, len(batch), len(thetas))
+            counts[:, :, first : batch.stop] = hit.transpose(2, 0, 1)
         counts.sort(axis=2)  # trials that never cross come last
         hits = (counts < never).sum(axis=2)
         # positions of the largest hit and of the two middle ones

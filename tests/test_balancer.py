@@ -17,6 +17,7 @@ from nu_analyzer import (
 from nu_analyzer import balancer
 from nu_analyzer.balancer import TrialRecord, _balance_runs
 
+import helpers
 from helpers import ref_convergence_study, ref_heuristic_balance
 
 
@@ -113,6 +114,30 @@ def _fuzz_matrices(seed: int, count: int):
         yield m, thetas[(k // 4) % 4]
 
 
+def _study_matrices(monkeypatch):
+    """Make the study and its oracle draw, besides trial_matrix's own
+    distributions, sparse matrices with zero rows and columns ("holes"),
+    all-zero ones and exp(U(-20, 20))-wide ones; returns the drawing function."""
+    draw = balancer.trial_matrix
+
+    def study_matrix(n, seed, trial, dist="uniform", density=0.25):
+        rng = np.random.default_rng([seed, trial, n])
+        if dist == "zero":
+            return np.zeros((n, n))
+        if dist == "wide":
+            return rng.random((n, n)) * np.exp(rng.uniform(-20, 20, (n, n)))
+        if dist == "holes":
+            m = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+            m[rng.random(n) < 0.3, :] = 0.0
+            m[:, rng.random(n) < 0.3] = 0.0
+            return m
+        return draw(n, seed, trial, dist, density)
+
+    monkeypatch.setattr(balancer, "trial_matrix", study_matrix)
+    monkeypatch.setattr(helpers, "trial_matrix", study_matrix)
+    return study_matrix
+
+
 class TestFusedObjective:
     """The objective read off the update's column maxima must equal, bit for
     bit, the objective of a full pass over the scaled matrix."""
@@ -202,6 +227,40 @@ class TestStackedThetas:
         for cfg in configs:
             assert convergence_study(**cfg) == ref_convergence_study(**cfg), cfg
 
+    def test_stacked_trials_against_oracle(self, monkeypatch):
+        # at n <= 16 the study runs the trials of one size as one stack: on
+        # both sides of that threshold its rows must be the per-trajectory
+        # oracle's, and each stacked trajectory must have the bits it has alone
+        seen = {"stacked": 0, "staggered": 0, "cut": 0}
+        study_matrix = _study_matrices(monkeypatch)
+        configs = itertools.product((1, 2, 3, 15, 16, 17), ("uniform", "holes", "zero", "wide"))
+        for c, (n, dist) in enumerate(configs):
+            trials = 1 + c % 5
+            thetas = self.THETA_SETS[c % len(self.THETA_SETS)]
+            tol_grid, max_iter = ([1e-1, 1e-4], 5) if c % 3 == 0 else ([1e-2, 1e-9], 150)
+            cfg = dict(ns=[n], trials=trials, thetas=list(thetas), tol_grid=tol_grid, seed=c, max_iter=max_iter, dist=dist)
+            assert convergence_study(**cfg) == ref_convergence_study(**cfg), cfg
+            if n > balancer._CANDIDATES:
+                continue
+            ms = np.stack([study_matrix(n, c, t, dist) for t in range(trials)])
+            for until_crossing in (False, True):
+                runs = _balance_runs(ms, thetas, max_iter, 1e-9, until_crossing=until_crossing)
+                for i, m in enumerate(ms):
+                    alone = _balance_runs(m, thetas, max_iter, 1e-9, until_crossing=until_crossing)
+                    got = slice(i * len(thetas), (i + 1) * len(thetas))
+                    np.testing.assert_array_equal(runs.updates[got], alone.updates)
+                    for j, u in enumerate(alone.updates):
+                        rel = runs.rel[:u, got][:, j]
+                        np.testing.assert_array_equal(rel.view(np.int64), alone.rel[:u, j].view(np.int64))
+                    for f in ("objective", "final"):
+                        np.testing.assert_array_equal(getattr(runs, f)[got].view(np.int64), getattr(alone, f).view(np.int64))
+                    for f in ("converged", "oscillating"):
+                        np.testing.assert_array_equal(getattr(runs, f)[got], getattr(alone, f))
+                seen["stacked"] += trials > 1
+                seen["staggered"] += len(set(runs.updates.tolist())) > 1
+                seen["cut"] += (runs.updates == max_iter).any()
+        assert all(seen.values()), seen
+
     def test_crossing_stop_is_the_full_runs_prefix(self):
         # each trajectory stops at its first relative change <= tol, or at
         # max_iter, having recorded the full run's changes bit for bit
@@ -230,10 +289,41 @@ class TestStackedThetas:
     def test_first_crossings_never_count_nan(self):
         rel = np.array([np.nan, 0.5, np.nan, 1e-3, 0.2, 1e-9])
         tols = np.array([1.0, 1e-2, 1e-3, 1e-6, 1e-12])
-        assert balancer._first_crossings(rel, tols, 99).tolist() == [2, 4, 4, 6, 99]
+        got = balancer._crossings(rel[:, None], np.array([6]), tols, 99)
+        assert got[:, 0].tolist() == [2, 4, 4, 6, 99]
         rec = TrialRecord(0, rel, 0.0, False)
         assert [rec.iterations_to(t) for t in tols] == [2, 4, 4, 6, None]
-        assert balancer._first_crossings(np.full(3, np.nan), tols, 99).tolist() == [99] * 5
+        got = balancer._crossings(np.full((3, 1), np.nan), np.array([3]), tols, 99)
+        assert got[:, 0].tolist() == [99] * 5
+        # columns of one block that end at different rows: the rows past a
+        # column's end (zeros here) are no crossing
+        block = np.zeros((6, 4))
+        block[:, 0] = rel
+        block[:3, 1] = [0.5, np.nan, 1e-4]
+        block[:1, 2] = np.nan
+        block[:5, 3] = [1.0, 0.3, 0.02, 0.02, 2e-3]
+        ends = np.array([6, 3, 1, 5])
+        got = balancer._crossings(block, ends, tols, 99)
+        for j, end in enumerate(ends):
+            rec = TrialRecord(0, block[:end, j], 0.0, False)
+            assert got[:, j].tolist() == [rec.iterations_to(t) or 99 for t in tols]
+
+    def test_crossings_of_stacked_runs(self):
+        # a run whose columns stop at different updates, and a run cut at
+        # max_iter before any column crosses, each read as one block
+        ms = np.stack([trial_matrix(6, 5, t) for t in range(3)])
+        tols = np.array([1e-1, 1e-3, 1e-6, 1e-9])
+        for stack, thetas, max_iter in ((ms, [0.3, 1.0, 0.7], 500), (ms[:2], [0.3, 0.7], 7)):
+            runs = _balance_runs(stack, thetas, max_iter, 1e-9, until_crossing=True)
+            if max_iter == 500:
+                assert runs.converged.all() and len(set(runs.updates.tolist())) > 3
+            else:
+                assert not runs.converged.any() and (runs.updates == max_iter).all()
+            got = balancer._crossings(runs.rel, runs.updates, tols, max_iter + 1)
+            for j, u in enumerate(runs.updates):
+                rec = TrialRecord(0, runs.rel[:u, j], 0.0, False)
+                expected = [rec.iterations_to(t) or max_iter + 1 for t in tols]
+                assert got[:, j].tolist() == expected
 
     def test_run_trials_one_record_list_per_theta(self):
         thetas = [0.3, 1.0, 0.7]
