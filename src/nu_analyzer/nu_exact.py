@@ -36,36 +36,34 @@ class NuResult:
 def nu_2x2(M) -> NuResult:
     """Closed form for two-by-two matrices.
 
-    After normalizing the off-diagonal pair to ones by scaling and diagonal
-    similarity, a dominant diagonal entry is destabilized alone; otherwise
-    the cheapest singularity splits the gain across both channels.
+    A diagonal entry at least the geometric mean of the off-diagonal pair
+    (always so without a two cycle) is destabilized alone. Otherwise, after
+    normalizing the off-diagonal pair to ones by scaling and diagonal
+    similarity, the cheapest singularity splits the gain across both
+    channels. The formula runs on M divided by the power of two that brings
+    its largest entry into [0.5, 1), so the off-diagonal product does not
+    underflow; the value and the witness are scaled back exactly.
     """
     a = as_array(M)
     if a.shape[0] != 2:
         raise ValidationError(f"closed form requires a 2x2 matrix, got {a.shape[0]}x{a.shape[0]}")
-    b, c = a[0, 1], a[1, 0]
-    if b == 0.0 or c == 0.0:
-        # no two cycle: only self loops can destabilize
+    e = math.frexp(a.max())[1]
+    a = np.ldexp(a, -e)
+    s = math.sqrt(a[0, 1] * a[1, 0])
+    if max(a[0, 0], a[1, 1]) >= s:
         value = float(max(a[0, 0], a[1, 1]))
         witness = np.zeros(2)
         if value > 0:
             k = int(np.argmax(np.diag(a)))
             witness[k] = 1.0 / value
-        return NuResult(value, witness, METHOD_CLOSED_FORM_2X2)
-    s = math.sqrt(b * c)
-    x, y = a[0, 0] / s, a[1, 1] / s
-    if max(x, y) >= 1.0:
-        value = float(max(a[0, 0], a[1, 1]))
-        witness = np.zeros(2)
-        k = int(np.argmax(np.diag(a)))
-        witness[k] = 1.0 / value
-        return NuResult(value, witness, METHOD_CLOSED_FORM_2X2)
-    det = x * y - 1.0  # negative here
-    d1 = (y - 1.0) / det
-    d2 = (x - 1.0) / det
-    value = s * det / (x + y - 2.0)
-    witness = np.array([d1 / s, d2 / s])
-    return NuResult(float(value), witness, METHOD_CLOSED_FORM_2X2)
+    else:
+        x, y = a[0, 0] / s, a[1, 1] / s
+        det = x * y - 1.0  # negative here
+        d1 = (y - 1.0) / det
+        d2 = (x - 1.0) / det
+        value = float(s * det / (x + y - 2.0))
+        witness = np.array([d1 / s, d2 / s])
+    return NuResult(math.ldexp(value, e), np.ldexp(witness, -e), METHOD_CLOSED_FORM_2X2)
 
 
 def _ring_weights(weights) -> np.ndarray:
@@ -165,84 +163,49 @@ def _coarse_search(a: np.ndarray, dirs: np.ndarray) -> tuple[float, np.ndarray]:
     return best, best_dir
 
 
-def _finish_sweep(
-    a: np.ndarray, start: np.ndarray, improved: np.ndarray, best: float,
-    h: float, k: int, cands: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """The rest of one refinement sweep, one coordinate at a time, from the
-    values ``cands`` still to try at coordinate ``k``.
-
-    Windows are centred on the sweep-start incumbent ``start``; trials take
-    the incumbent ``improved`` of the moment. The values not yet tried at a
-    coordinate form one stack, each row renormalized to sum one; when one
-    improves, the first improving value is accepted and the values after it
-    are stacked again from the new incumbent.
-    """
-    n = a.shape[0]
-    while True:
-        while cands.size:
-            trials = np.repeat(improved[None, :], cands.size, axis=0)
-            trials[:, k] = cands
-            totals = trials.sum(axis=1)
-            # the last value is positive, so at least one row stays
-            rows = np.flatnonzero(totals > 0)
-            trials = trials[rows] / totals[rows, None]
-            roots = _perron_roots(trials[:, :, None] * a)
-            hits = np.flatnonzero(roots > best + 1e-15)
-            if not hits.size:
-                break
-            j = hits[0]
-            best, improved = float(roots[j]), trials[j]
-            cands = cands[rows[j] + 1:]
-        k += 1
-        if k == n:
-            return best, improved
-        cands = np.linspace(max(0.0, start[k] - h), start[k] + h, 17)
-
-
 def _refine(a: np.ndarray, best: float, best_dir: np.ndarray, h: float) -> tuple[float, np.ndarray]:
     """Per-coordinate refinement with the window halved from ``h`` until it
-    is below 1e-8, speculating over runs of sweeps.
+    is below 1e-8, scored in stacks from a cursor.
 
-    While no candidate improves, every candidate of every later sweep depends
-    only on the incumbent and on the window, so a run of sweeps is built at
-    once, over every coordinate and all 17 values, and scored in one stack.
-    The run doubles while nothing improves. At the first improving row in
-    search order that row is accepted and its sweep is finished by
-    ``_finish_sweep``; the next run is one sweep.
+    The cursor is a sweep and an offset k * 17 + j into it. Each stack holds
+    every candidate from the cursor to the end of a run of sweeps, each
+    trial built from the incumbent of the moment and each window centred on
+    the incumbent its sweep started from. The first improving row is
+    accepted and the cursor moves just past it, so the next run is the rest
+    of its sweep; with no improving row the cursor moves to the end of the
+    stack and the run doubles. A run spans several sweeps only from a sweep
+    boundary, where every sweep in it starts from the incumbent of the moment.
     """
     n = a.shape[0]
+    width = 17 * n
     steps = []
     while h >= 1e-8:
         steps.append(h)
         h *= 0.5
-    i, run = 0, 1
+    i, off, run = 0, 0, 1
     while i < len(steps):
-        hs = np.array(steps[i:i + run])
+        if not off:
+            start = best_dir
+        hs = np.array(steps[i:i + run])[:, None]
         # every window is at least h wide, so the stacked linspace takes the
         # same steps, bit for bit, as one call per window
-        lo = np.maximum(best_dir - hs[:, None], 0.0)
-        cands = np.linspace(lo, best_dir + hs[:, None], 17, axis=-1)
+        cands = np.linspace(np.maximum(start - hs, 0.0), start + hs, 17, axis=-1)
         trials = np.empty((hs.size, n, 17, n))
         trials[...] = best_dir
         for k in range(n):
             trials[:, k, :, k] = cands[:, k]
+        trials = trials.reshape(-1, n)[off:]
         totals = trials.sum(axis=-1)
         rows = np.flatnonzero(totals > 0)
-        live = trials.reshape(-1, n)[rows] / totals.reshape(-1)[rows, None]
+        live = trials[rows] / totals[rows, None]
         roots = _perron_roots(live[:, :, None] * a)
         hits = np.flatnonzero(roots > best + 1e-15)
         if not hits.size:
-            i += hs.size
-            run *= 2
+            i, off, run = i + hs.size, 0, 2 * run
             continue
-        s, k, j = np.unravel_index(rows[hits[0]], totals.shape)
-        best, improved = float(roots[hits[0]]), live[hits[0]]
-        best, best_dir = _finish_sweep(
-            a, best_dir, improved, best, steps[i + s], int(k), cands[s, k, j + 1:]
-        )
-        i += s + 1
-        run = 1
+        s, off = divmod(off + int(rows[hits[0]]) + 1, width)
+        best, best_dir = float(roots[hits[0]]), live[hits[0]]
+        i, run = i + s, 1
     return best, best_dir
 
 
@@ -253,24 +216,25 @@ def nu_oracle(M) -> NuResult:
     by homogeneity the cheapest destabilizing gain along a direction is its
     reciprocal root, so the best direction minimizes the total gain. A coarse
     deterministic grid is followed by per-coordinate refinement with a
-    window halved from one grid step until it is below 1e-8.
+    window halved from one grid step until it is below 1e-8: coordinate k of
+    the incumbent takes 17 evenly spaced values across a window centred on
+    the sweep's starting incumbent, each trial renormalized to sum one.
 
-    The roots are taken in a few large stacks, one ``eigvals`` call per
-    stack, while the value and witness stay bit for bit those of a
-    one-at-a-time search: a direction replaces the incumbent only if its
-    root beats the incumbent's by more than 1e-15, the first such direction
-    in order wins, and every candidate is scored against the incumbent that
-    search would hold. Each row's root is the same in any stack.
+    One rule picks the incumbent: in search order, a direction replaces it
+    only if its root beats the incumbent's by more than 1e-15, and the first
+    such direction wins. The roots are taken in a few large stacks, one
+    ``eigvals`` call per stack, with value and witness bit for bit those of
+    a one-at-a-time search: each row's root is the same in any stack. Grid
+    rows do not depend on the incumbent, so a chunk's roots are read in
+    order, and a grid row whose Perron bound cannot beat the running best is
+    dropped before ``eigvals`` (``_coarse_search``). A refinement stack runs
+    from a cursor, and only its rows up to the first accepted one count, so
+    every row that counts was built from the incumbent that search would
+    hold (``_refine``).
 
-    The grid is scanned in grid order, in chunks; a row whose Perron bound
-    cannot beat the running best is dropped before ``eigvals``, since it
-    could not have been accepted (``_coarse_search``). In the refinement,
-    coordinate k of the incumbent takes 17 evenly spaced values across a
-    window centred on the sweep's starting incumbent, each trial
-    renormalized to sum one. While nothing improves, these candidates depend
-    only on the incumbent and the window, so a run of whole sweeps is scored
-    in one stack, and the run doubles; from the first improving candidate
-    the sweep is finished coordinate by coordinate (``_refine``).
+    The search runs on M divided by the power of two that brings its largest
+    entry into [0.5, 1), so the 1e-15 margin is relative to the matrix's
+    scale; the value and the witness are scaled back exactly.
     """
     a = as_array(M)
     n = a.shape[0]
@@ -278,10 +242,12 @@ def nu_oracle(M) -> NuResult:
         raise ValidationError(
             f"oracle supports n <= 4 (got n={n}); use the spectral and scaling bounds instead"
         )
+    e = math.frexp(a.max())[1]
+    a = np.ldexp(a, -e)
     grid = _ORACLE_GRID[n]
     best, best_dir = _coarse_search(a, _simplex_grid(n, grid))
     best, best_dir = _refine(a, best, best_dir, 1.0 / grid)
     if best <= 0.0:
         return NuResult(0.0, np.zeros(n), METHOD_ORACLE)
-    witness = best_dir / best
-    return NuResult(float(best), witness, METHOD_ORACLE)
+    witness = np.ldexp(best_dir / best, -e)
+    return NuResult(math.ldexp(best, e), witness, METHOD_ORACLE)

@@ -166,7 +166,9 @@ def nu_lower_bound(M, max_subset_size: int | None = None) -> SubsetBound:
     ``spectral_radius`` on the unscaled submatrix of each subset screened
     within ``_SCREEN_WINDOW`` of the top, and of the witness cycle if it was
     not screened; the bound and ``rho_sub`` come from those calls alone.
-    Ties prefer smaller subsets, then lexicographic order.
+    A subset replaces the incumbent only if its bound is above the
+    incumbent's by more than 1e-12 relative, so ties prefer smaller
+    subsets, then lexicographic order, at any scale of M.
 
     Only subsets that can reach the window go to ``eigvals``. The Perron root
     of a nonnegative matrix is at most its largest row sum and its largest
@@ -208,7 +210,7 @@ def _subset_bound(a: np.ndarray, max_subset_size: int | None, front: _Front | No
             continue
         rho = spectral_radius(a[np.ix_(idx, idx)]).rho
         bound = rho / len(idx)
-        if bound > best + 1e-12 * max(1.0, best):
+        if bound > best * (1.0 + 1e-12):
             best, best_rho, best_idx = bound, rho, idx
 
     indices = tuple(i + 1 for i in best_idx)

@@ -16,7 +16,8 @@ The critical-class contraction reference carries its graph as arc tuples and
 per-node offset dicts, where the library contracts weight arrays. The
 exact-value reference scores every gain direction, one per eigvals call,
 where the library drops grid directions whose row/column-sum bound cannot
-beat the running best and scores runs of refinement sweeps in one stack.
+beat the running best and scores the refinement in stacks that run from a
+cursor to the end of a run of sweeps.
 The subset-screen reference sends every subset to eigvals, where the library
 first drops those whose row/column-sum bound cannot reach the top.
 """
@@ -124,7 +125,7 @@ def enum_subset_bound(a: np.ndarray, max_subset_size: int | None = None) -> Subs
                 continue
             rho = spectral_radius(a[np.ix_(idx, idx)]).rho
             bound = rho / size
-            if bound > best + 1e-12 * max(1.0, best):
+            if bound > best * (1.0 + 1e-12):
                 best, best_rho, best_idx = bound, rho, idx
     return SubsetBound(tuple(i + 1 for i in best_idx), best_rho, best, True)
 
@@ -424,9 +425,12 @@ def ref_coarse_search(a: np.ndarray, grid: int) -> tuple[float, np.ndarray]:
 
 
 def ref_nu_oracle(M) -> NuResult:
-    """nu_oracle with one eigvals call per direction, in search order."""
+    """nu_oracle with one eigvals call per direction, in search order, on M
+    divided by the power of two that brings its largest entry into [0.5, 1)."""
     a = as_array(M)
     n = a.shape[0]
+    e = math.frexp(a.max())[1]
+    a = np.ldexp(a, -e)
     grid = _ORACLE_GRID[n]
     best, best_dir = ref_coarse_search(a, grid)
     h = 1.0 / grid
@@ -449,8 +453,8 @@ def ref_nu_oracle(M) -> NuResult:
         h *= 0.5
     if best <= 0.0:
         return NuResult(0.0, np.zeros(n), METHOD_ORACLE)
-    witness = best_dir / best
-    return NuResult(float(best), witness, METHOD_ORACLE)
+    witness = np.ldexp(best_dir / best, -e)
+    return NuResult(math.ldexp(best, e), witness, METHOD_ORACLE)
 
 
 def dense_matrix(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -77,6 +77,20 @@ class TestAnalyze:
         assert data["nu_exact"]["value"] <= data["nubar"]
         assert run_cli(capsys, "analyze", str(path), "--oracle")[1] == out
 
+    @pytest.mark.parametrize(
+        "m",
+        [np.array([[0.0, 1e-200], [1e-200, 0.0]]), 1e-16 * np.random.default_rng(5).random((3, 3))],
+        ids=["2x2", "3x3"],
+    )
+    def test_oracle_flag_at_tiny_scale(self, capsys, tmp_path, m):
+        path, out_path = tmp_path / "m.csv", tmp_path / "m.json"
+        write_matrix(m, path)
+        code, _, _ = run_cli(capsys, "analyze", str(path), "--oracle", "--out", str(out_path))
+        assert code == 0
+        report = read_report(out_path)
+        assert 0.0 < report.nu_lower.bound <= report.nu_exact.value * (1 + 1e-9)
+        assert report.nu_exact.value <= report.nubar * (1 + 1e-9)
+
     def test_system_json_input(self, capsys, tmp_path):
         path = tmp_path / "sys.json"
         path.write_text(

@@ -80,6 +80,19 @@ class TestNu2x2:
             a = float(rng.uniform(0.5, 2.0))
             scaled = a * m * d[:, None] / d[None, :]
             assert nu_2x2(scaled).value == pytest.approx(a * base, rel=1e-10)
+        witness = nu_2x2(m).witness_delta
+        r = nu_2x2(2.0**-60 * m)
+        assert r.value == 2.0**-60 * base
+        np.testing.assert_array_equal(r.witness_delta, 2.0**60 * witness)
+        for a in (1e-16, 1e-250, 1e200):
+            r = nu_2x2(a * m)
+            assert r.value == pytest.approx(a * base, rel=1e-9)
+            np.testing.assert_allclose(r.witness_delta, witness / a, rtol=1e-9)
+        # the off-diagonal product underflows unless the matrix is rescaled
+        for tiny in ([[1e-300, 1e-200], [1e-200, 0.0]], [[0.0, 1e-200], [1e-200, 0.0]]):
+            r = nu_2x2(tiny)
+            assert r.value == pytest.approx(5e-201, rel=1e-9)
+            assert witness_is_destabilizing(tiny, r.witness_delta)
 
 
 class TestNuRing:
@@ -171,6 +184,16 @@ class TestNuOracle:
         d = positive_diagonal(rng, 3)
         assert nu_oracle(m * d[:, None] / d[None, :]).value == pytest.approx(base, rel=1e-4)
         assert nu_oracle(2.0 * m).value == pytest.approx(2.0 * base, rel=1e-4)
+        # the search runs at the scale of the largest entry: a power of two
+        # keeps every bit, and no scale stalls it at the first grid row
+        witness = nu_oracle(m).witness_delta
+        r = nu_oracle(2.0**-60 * m)
+        assert r.value == 2.0**-60 * base
+        np.testing.assert_array_equal(r.witness_delta, 2.0**60 * witness)
+        for a in (1e-16, 1e-250, 1e200):
+            r = nu_oracle(a * m)
+            assert r.value == pytest.approx(a * base, rel=1e-9)
+            assert witness_is_destabilizing(a * m, r.witness_delta)
 
     def test_large_n_rejected(self):
         with pytest.raises(ValidationError):
@@ -248,3 +271,9 @@ class TestNuOracleBitwise:
         m = np.random.default_rng([1, 0, 4, 0]).random((4, 4))
         assert nu_oracle(m).value == ref_nu_oracle(m).value
         assert len(rows) <= 12  # one stack per coordinate per sweep would be 93
+
+    def test_improving_search_takes_few_stacks(self, monkeypatch):
+        rows = counting_roots(monkeypatch)
+        m = np.random.default_rng([3, 0, 3, 0]).random((3, 3))
+        assert nu_oracle(m).value == ref_nu_oracle(m).value
+        assert len(rows) <= 73  # 32 refinement improvements; 54 stacks

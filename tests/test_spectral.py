@@ -60,12 +60,15 @@ class TestSpectralRadius:
             assert spectral_radius(m).rho == pytest.approx(char_poly_rho(m), abs=1e-8)
 
     def test_homogeneity(self):
-        rng = np.random.default_rng(4)
-        m = rng.random((5, 5))
-        a = 3.7
-        r1 = spectral_radius(m)
-        r2 = spectral_radius(a * m)
-        assert r2.rho == pytest.approx(a * r1.rho, rel=1e-10)
+        # the subset bound's tie margin is relative, so its subset does not
+        # change with the scale of M either
+        for m in (np.random.default_rng(4).random((5, 5)), np.random.default_rng(5).random((4, 4))):
+            r1, b1 = spectral_radius(m), nu_lower_bound(m)
+            for a in (3.7, 1e-13, 1e-20):
+                assert spectral_radius(a * m).rho == pytest.approx(a * r1.rho, rel=1e-10)
+                b = nu_lower_bound(a * m)
+                assert b.indices == b1.indices
+                assert b.bound == pytest.approx(a * b1.bound, rel=1e-10)
 
     def test_repeated_root_across_components(self):
         # permuted [[B, C], [0, B]]: rho(B) is a defective eigenvalue of the
