@@ -2,8 +2,9 @@
 
 The bound is the infimum over positive diagonal similarities of the largest
 scaled entry. Its combinatorial value is the maximum over directed cycles of
-the geometric mean of the entries along the cycle, computed here with Karp's
-maximum mean-cycle recursion on log weights per strongly connected component.
+the geometric mean of the entries along the cycle, computed here with one
+Karp maximum mean-cycle recursion on log weights from a zero-weight
+super-source, whose table also gives the longest-path potentials.
 An exact balancing routine produces an optimal scaling whose largest incoming
 and outgoing scaled entries agree at every node wherever that is structurally
 possible.
@@ -89,58 +90,40 @@ def _log_weights(a: np.ndarray) -> np.ndarray:
         return np.where(a > 0, np.log(np.where(a > 0, a, 1.0)), NEG)
 
 
-def _karp_max_mean(w: np.ndarray) -> float:
-    """Maximum cycle mean of a strongly connected log-weighted digraph.
+def _karp(w: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """Maximum cycle mean ``lam`` of a log-weighted digraph and potentials.
 
-    ``w[u, v]`` is the arc weight, -inf where there is no arc. Node 0 is used
-    as the source; strong connectivity guarantees walks of every length.
-    """
-    L = w.shape[0]
-    D = np.full((L + 1, L), NEG)
-    D[0, 0] = 0.0
-    for k in range(L):
-        D[k + 1] = (D[k][:, None] + w).max(axis=0)
-    DL = D[L]
-    den = (L - np.arange(L, dtype=float))[:, None]
-    with np.errstate(invalid="ignore"):
-        ratios = np.where(D[:L] > NEG, (DL[None, :] - D[:L]) / den, np.inf)
-    per_node = ratios.min(axis=0)
-    valid = DL > NEG
-    if not valid.any():
-        return NEG
-    return float(per_node[valid].max())
-
-
-def _potentials(w: np.ndarray, lam: float) -> np.ndarray:
-    """Longest-path potentials from a super-source under weights w - lam.
-
-    With lam the maximum cycle mean no cycle has positive adjusted weight, so
-    the longest walks are bounded and n relaxation rounds suffice. The
-    resulting potentials p satisfy w[u, v] + p[u] - p[v] <= lam on every arc,
-    with equality along maximizing cycles.
+    ``w[u, v]`` is the arc weight, -inf where there is no arc. ``D[k, v]`` is
+    the heaviest walk of exactly k arcs ending at v; ``D[0] = 0`` is a
+    zero-weight super-source that reaches every node, so Karp's min-max
+    ratio over the nodes with a finite ``D[n]`` is ``lam`` on any digraph.
+    The potentials ``p = max_{k<n} D[k] - k * lam`` are the longest walks
+    under ``w - lam``: ``w[u, v] + p[u] - p[v] <= lam`` on every arc, with
+    equality along maximizing cycles. ``(-inf, None)`` on acyclic support.
     """
     n = w.shape[0]
-    wp = w - lam
-    p = np.zeros(n)
-    for _ in range(n):
-        cand = (p[:, None] + wp).max(axis=0)
-        newp = np.maximum(p, cand)
-        if np.array_equal(newp, p):
-            break
-        p = newp
-    return p
+    D = np.empty((n + 1, n))
+    D[0] = 0.0
+    for k in range(n):
+        D[k + 1] = (D[k][:, None] + w).max(axis=0)
+    DL = D[n]
+    valid = DL > NEG
+    if not valid.any():
+        return NEG, None
+    ks = np.arange(n, dtype=float)[:, None]
+    with np.errstate(invalid="ignore"):
+        ratios = np.where(D[:n] > NEG, (DL[None, :] - D[:n]) / (n - ks), np.inf)
+    lam = float(ratios.min(axis=0)[valid].max())
+    return lam, (D[:n] - lam * ks).max(axis=0)
 
 
 class _Front(NamedTuple):
     """The nubar front half: the maximum cycle mean ``lam`` of the log
-    weights ``w``, the potentials ``p``, the components that carry a cycle,
-    over which ``lam`` is the largest Karp mean (on a one-node self-loop,
-    exactly the loop's log weight), and the witness cycle."""
+    weights ``w``, the potentials ``p`` and the witness cycle."""
 
     lam: float
     w: np.ndarray
     p: np.ndarray
-    comps: list
     cycle: tuple[int, ...]
 
 
@@ -148,12 +131,10 @@ def _cycle_mean_potentials(a: np.ndarray) -> _Front | None:
     """The front half that ``nubar_exact``, ``balanced_solution`` and the
     subset screen share; None on acyclic support."""
     w = _log_weights(a)
-    comps = cyclic_components(a)
-    lam = max((_karp_max_mean(w[np.ix_(c, c)]) for c in comps), default=NEG)
-    if lam == NEG:
+    lam, p = _karp(w)
+    if p is None:
         return None
-    p = _potentials(w, lam)
-    return _Front(lam, w, p, comps, _witness_cycle(w, lam, p))
+    return _Front(lam, w, p, _witness_cycle(w, lam, p))
 
 
 def _nubar_normalized(front: _Front) -> np.ndarray:
@@ -326,8 +307,7 @@ def _max_balance_strong(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     level = np.full(w.shape[0], NEG)
     W = w
     while (W > NEG).any():
-        lam = _karp_max_mean(W)
-        p = _potentials(W, lam)
+        lam, p = _karp(W)
         tight = _tight_arcs(W, lam, p, 1e-9)
         tadj = support_adjacency(tight)
         classes = cyclic_components(tight, tadj)

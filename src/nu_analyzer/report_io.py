@@ -73,9 +73,9 @@ class RobustnessReport:
         if self.nu_exact is not None and len(self.nu_exact.witness) != n:
             raise ValidationError(f"inconsistent report: {len(self.nu_exact.witness)} witness gains, n is {n}")
         slack = 1e-6
-        if self.nu_lower.bound > self.nubar * (1.0 + slack) + slack * 1e-12:
+        if self.nu_lower.bound > self.nubar * (1.0 + slack):
             raise ValidationError("inconsistent report: subset bound exceeds the scaling bound")
-        if self.nubar > self.mu * (1.0 + slack) + slack * 1e-12:
+        if self.nubar > self.mu * (1.0 + slack):
             raise ValidationError("inconsistent report: scaling bound exceeds the spectral bound")
 
 

@@ -124,7 +124,7 @@ def _screen(
         return [], True  # acyclic support: every principal submatrix is nilpotent
     scaled = _nubar_normalized(front)
     n = a.shape[0]
-    rho_norm = max(float(_perron_roots(scaled[np.ix_(c, c)])) for c in front.comps)
+    rho_norm = max(float(_perron_roots(scaled[np.ix_(c, c)])) for c in cyclic_components(a))
     witness = tuple(sorted(front.cycle)) if len(front.cycle) <= max_size else ()
     screened, top, total, exhaustive = [], 0.0, 0, True
     for size in range(1, max_size + 1):

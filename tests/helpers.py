@@ -49,10 +49,9 @@ from nu_analyzer.nubar import (
     _acyclic_scaling,
     _cycle_in_tight_graph,
     _cycle_mean_potentials,
-    _karp_max_mean,
+    _karp,
     _log_weights,
     _nubar_normalized,
-    _potentials,
     _tight_arcs,
 )
 from nu_analyzer.spectral import _SCREEN_BUDGET, _SCREEN_CHUNK, _SCREEN_WINDOW, _perron_roots
@@ -202,8 +201,7 @@ def ref_max_balance_strong(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for u, v, wt in cur_arcs:
             if wt > W[u, v]:
                 W[u, v] = wt
-        lam = _karp_max_mean(W)
-        p = _potentials(W, lam)
+        lam, p = _karp(W)
         tight = _tight_arcs(W, lam, p, 1e-9)
         tadj = support_adjacency(tight)
         classes = cyclic_components(tight)
@@ -295,7 +293,7 @@ def ref_screen(a: np.ndarray, max_size: int) -> tuple[list[tuple[int, ...]], boo
     front = _cycle_mean_potentials(a)
     if front is None:
         return [], True  # acyclic support: every principal submatrix is nilpotent
-    scaled, cycle, comps = _nubar_normalized(front), front.cycle, front.comps
+    scaled, cycle, comps = _nubar_normalized(front), front.cycle, cyclic_components(a)
     n = a.shape[0]
     rho_norm = max(float(_perron_roots(scaled[np.ix_(c, c)])) for c in comps)
     witness = tuple(sorted(cycle)) if len(cycle) <= max_size else ()

@@ -195,6 +195,17 @@ class TestNuOracle:
             assert r.value == pytest.approx(a * base, rel=1e-9)
             assert witness_is_destabilizing(a * m, r.witness_delta)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="acceptance margin is relative to the largest entry, not to the root",
+    )
+    def test_root_far_below_largest_entry(self):
+        # nu is the lone self-loop's 1e-7, about 1e-15 of the largest entry
+        # 2e7, so a 1e-15 margin on that scale stalls the search at 7.5e-8,
+        # below the subset bound of the same self-loop
+        m = np.array([[1e-7, 0.0, 0.0], [0.0, 0.0, 0.0], [2e7, 0.0, 0.0]])
+        assert nu_oracle(m).value == pytest.approx(1e-7, rel=1e-9)
+
     def test_large_n_rejected(self):
         with pytest.raises(ValidationError):
             nu_oracle(np.eye(5))

@@ -17,7 +17,7 @@ from nu_analyzer import (
     scaled_inf_norm,
 )
 from nu_analyzer._graph import cyclic_components
-from nu_analyzer.nubar import _log_weights, _max_balance_strong
+from nu_analyzer.nubar import NEG, _karp, _log_weights, _max_balance_strong
 
 from helpers import (
     enum_max_cycle_mean,
@@ -26,6 +26,23 @@ from helpers import (
     positive_diagonal,
     ref_max_balance_strong,
 )
+
+
+def super_source_supports() -> list[np.ndarray]:
+    """Supports where the cycles sit apart from node 0 or from each other,
+    which Karp's recursion only covers from a super-source."""
+    e = np.exp(20.0)
+    source = np.zeros((4, 4))  # node 0 feeds a sink; the cycle is 2 <-> 3
+    source[0, 1], source[2, 3], source[3, 2], source[3, 1] = 0.7, 0.5, 0.8, 0.3
+    last = np.zeros((5, 5))  # chain 0 -> 1 -> 2 -> 3 into the cycle 3 <-> 4
+    last[0, 1], last[1, 2], last[2, 3], last[3, 4], last[4, 3] = 2.0, 3.0, 0.5, 0.4, 0.9
+    wide = np.zeros((5, 5))  # chain 0 -> 1 -> 2 into the cycle 2 -> 3 -> 4 -> 2
+    wide[0, 1], wide[1, 2] = 1.0 / e, e
+    wide[2, 3], wide[3, 4], wide[4, 2] = e, 1.0 / e, e
+    ties = np.zeros((5, 5))  # cycles 0 <-> 1 and 2 -> 3 -> 4 -> 2, both of mean 0.5
+    ties[0, 1], ties[1, 0], ties[1, 2] = 0.25, 1.0, 0.1
+    ties[2, 3], ties[3, 4], ties[4, 2] = 0.5, 0.5, 0.5
+    return [source, last, wide, ties]
 
 
 class TestNubarExact:
@@ -62,9 +79,11 @@ class TestNubarExact:
 
     def test_scaling_attains_value(self):
         rng = np.random.default_rng(10)
+        draws = []
         for _ in range(30):
             n = int(rng.integers(2, 7))
-            m = rng.random((n, n)) * (rng.random((n, n)) < 0.7)
+            draws.append(rng.random((n, n)) * (rng.random((n, n)) < 0.7))
+        for m in draws + super_source_supports():
             r = nubar_exact(m)
             attained = float(phi_view(m, r.scaling.d).matrix.max())
             assert attained == pytest.approx(r.value, rel=1e-9, abs=1e-12)
@@ -82,10 +101,21 @@ class TestNubarExact:
             assert prod ** (1.0 / len(cyc)) == pytest.approx(r.value, rel=1e-9)
 
     def test_enumeration_oracle_agreement(self):
-        for m in mixed_corpus(seed=12, count=60, n_max=6):
+        for m in mixed_corpus(seed=12, count=60, n_max=6) + super_source_supports():
             assert nubar_exact(m).value == pytest.approx(
                 enum_max_cycle_mean(m), rel=1e-10, abs=1e-14
             )
+
+    def test_karp_potentials_bound_every_arc(self):
+        for m in super_source_supports():
+            w = _log_weights(m)
+            lam, p = _karp(w)
+            assert lam == pytest.approx(np.log(enum_max_cycle_mean(m)), rel=1e-12)
+            assert np.all(np.isfinite(p)) and np.all(p >= 0.0)
+            arcs = w > NEG
+            slack = (w + p[:, None] - p[None, :] - lam)[arcs]
+            assert slack.max() <= 1e-9 * max(1.0, abs(lam))
+        assert _karp(_log_weights(np.triu(np.ones((4, 4)), 1))) == (NEG, None)
 
     def test_homogeneity(self):
         rng = np.random.default_rng(13)

@@ -24,11 +24,11 @@ from nu_analyzer.report_io import report_json, table_csv, write_study
 from helpers import mixed_corpus
 
 
-def _edited_report(tmp_path, edit, oracle=False):
-    """Path of the 2x2 report of [[0, 1], [0.25, 0]] after ``edit`` has
-    changed its parsed JSON in place."""
+def _edited_report(tmp_path, edit, oracle=False, scale=1.0):
+    """Path of the 2x2 report of ``scale * [[0, 1], [0.25, 0]]`` after
+    ``edit`` has changed its parsed JSON in place."""
     path = tmp_path / "report.json"
-    write_report(build_report(np.array([[0.0, 1.0], [0.25, 0.0]]), oracle=oracle), path)
+    write_report(build_report(scale * np.array([[0.0, 1.0], [0.25, 0.0]]), oracle=oracle), path)
     data = json.loads(path.read_text())
     edit(data)
     path.write_text(json.dumps(data))
@@ -152,15 +152,18 @@ class TestReportJson:
         with pytest.raises(ValidationError, match="schema"):
             read_report(path)
 
-    def test_inconsistent_chain_rejected(self, tmp_path):
-        report = build_report(np.array([[0.0, 1.0], [0.25, 0.0]]))
-        path = tmp_path / "report.json"
-        write_report(report, path)
-        data = json.loads(path.read_text())
-        data["nu_lower"]["bound"] = 2.0 * data["nubar"]
-        path.write_text(json.dumps(data))
+    @pytest.mark.parametrize("scale", [1.0, 1e-20], ids=["scale-1", "scale-1e-20"])
+    @pytest.mark.parametrize("low, high", [("nu_lower", "nubar"), ("nubar", "mu")])
+    def test_inconsistent_chain_rejected(self, tmp_path, low, high, scale):
+        # both links are relative: a bound twice its neighbour is rejected at
+        # every scale, also where the excess is far below 1e-12
+        def edit(d):
+            if low == "nu_lower":
+                d["nu_lower"]["bound"] = 2.0 * d["nubar"]
+            else:
+                d["nubar"] = 2.0 * d[high]
         with pytest.raises(ValidationError, match="inconsistent report"):
-            read_report(path)
+            read_report(_edited_report(tmp_path, edit, scale=scale))
 
     def test_scaling_length_must_match_n(self, tmp_path):
         for edit in (lambda d: d["nubar_scaling"].append(1.0), lambda d: d.update(n=7)):
