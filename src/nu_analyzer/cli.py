@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .balancer import StudyRow, convergence_study, heuristic_balance
 from .errors import ValidationError
-from .magnitude import MagnitudeMatrix, as_array, magnitude_matrix
+from .magnitude import MagnitudeMatrix, magnitude_matrix
 from .nu_exact import (
     METHOD_RING,
     NuResult,
@@ -56,11 +56,11 @@ def build_report(
     nu_result: NuResult | None = None,
 ) -> RobustnessReport:
     """Assemble the full robustness report for one magnitude matrix."""
-    a = as_array(M)
-    n = a.shape[0]
+    m = M if isinstance(M, MagnitudeMatrix) else MagnitudeMatrix.from_array(M)
+    a, n = m.m, m.n
     # a cap above n admits every subset, as n itself does
     subset_max = min(n, 12) if subset_max is None else min(subset_max, n)
-    rad = spectral_radius(a)
+    rad = spectral_radius(m)  # m is validated, so this solves without checking again
     # balanced_solution and nu_lower_bound, sharing one nubar front half
     front = _cycle_mean_potentials(a)
     bal = _nubar_result(a, _balanced_scaling, front)

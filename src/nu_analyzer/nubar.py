@@ -77,7 +77,11 @@ def _scaling_for(a: np.ndarray, d) -> ScalingVector:
 
 def phi_view(M, d) -> PhiView:
     a = as_array(M)
-    dv = _scaling_for(a, d).d
+    return _phi(a, _scaling_for(a, d).d)
+
+
+def _phi(a: np.ndarray, dv: np.ndarray) -> PhiView:
+    """``phi_view`` of the validated array ``a`` under the checked weights ``dv``."""
     pos = a > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = a * dv[:, None] / dv[None, :]
@@ -223,7 +227,11 @@ def certify_optimality(M, d, tol: float = 1e-9) -> bool:
     maximizing entry out of l, i.e. the maximizing set chains into loops.
     True implies the scaling is optimal; False is inconclusive.
     """
-    view = phi_view(M, d)
+    return _certified(phi_view(M, d), tol)
+
+
+def _certified(view: PhiView, tol: float) -> bool:
+    """``certify_optimality`` read off the scaled entries ``view``."""
     if not view.feasible:
         return False
     phi = view.matrix
@@ -244,7 +252,11 @@ def balance_residuals(M, d) -> np.ndarray:
     the attained objective so a tolerance reads as a value-relative bound.
     An infeasible scaling yields +inf residuals.
     """
-    view = phi_view(M, d)
+    return _residuals(phi_view(M, d))
+
+
+def _residuals(view: PhiView) -> np.ndarray:
+    """``balance_residuals`` read off the scaled entries ``view``."""
     if not view.feasible:
         return np.full(view.matrix.shape[0], np.inf)
     phi = view.matrix.copy()
@@ -283,12 +295,13 @@ def _nubar_result(a: np.ndarray, scaling, front: _Front | None) -> NubarResult:
     else:
         cycle, d = front.cycle, scaling(a, front.lam, front.p)
     sv = ScalingVector(d)
+    view = _phi(a, sv.d)
     return NubarResult(
         _cycle_geometric_mean(a, cycle),
         sv,
         tuple(i + 1 for i in cycle),
-        certify_optimality(a, sv),
-        is_balanced(a, sv),
+        _certified(view, 1e-9),
+        bool(_residuals(view).max() <= 1e-8),
     )
 
 

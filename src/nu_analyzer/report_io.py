@@ -117,6 +117,7 @@ def read_matrix(path) -> MagnitudeMatrix:
     """Parse a headerless CSV of nonnegative decimal entries into a square
     magnitude matrix."""
     rows: list[list[float]] = []
+    linenos: list[int] = []  # the file line of each row; blank lines hold none
     with open(path, newline="") as fh:
         for lineno, record in enumerate(csv.reader(fh), start=1):
             if not record or (len(record) == 1 and not record[0].strip()):
@@ -133,14 +134,15 @@ def read_matrix(path) -> MagnitudeMatrix:
                     raise ValidationError(f"{path}: line {lineno}, field {col}: non-finite value")
                 if value < 0:
                     raise ValidationError(
-                        f"{path}: negative entry at row {lineno}, column {col}"
+                        f"{path}: negative entry at row {len(rows) + 1}, column {col} (line {lineno})"
                     )
                 row.append(value)
             rows.append(row)
+            linenos.append(lineno)
     if not rows:
         raise ValidationError(f"{path}: empty matrix file")
     width = len(rows[0])
-    for lineno, row in enumerate(rows, start=1):
+    for lineno, row in zip(linenos, rows):
         if len(row) != width:
             raise ValidationError(
                 f"{path}: line {lineno} has {len(row)} fields, expected {width}"

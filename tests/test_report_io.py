@@ -62,6 +62,16 @@ class TestMatrixCsv:
         with pytest.raises(ValidationError, match="line 2"):
             read_matrix(path)
 
+    def test_blank_lines_do_not_shift_line_numbers(self, tmp_path):
+        # a blank line holds no row, so the third file line is the second row
+        path = tmp_path / "bad.csv"
+        path.write_text("1,2\n\n3\n")
+        with pytest.raises(ValidationError, match="line 3 has 1 fields, expected 2"):
+            read_matrix(path)
+        path.write_text("0.0,1.0\n\n-2.0,0.0\n")
+        with pytest.raises(ValidationError, match=r"row 2, column 1 \(line 3\)"):
+            read_matrix(path)
+
     def test_non_square_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0.0,1.0\n")

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,17 @@ class TestSpectralRadius:
     def test_wide_range_triangular(self):
         r = spectral_radius([[0.0, 2e43], [0.0, 3.9e-64]])
         assert r.rho == pytest.approx(3.9e-64, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [9.45498906196482e180, 3.3e-200])
+    def test_one_node_root_is_the_entry(self, x):
+        # eigvals rescales entries outside about [6.7e-139, 1.5e138] and misses
+        # a 1x1 root there by an ulp; a self-loop's root is its entry
+        assert spectral_radius([[x]]).rho == x
+        # reducible: the self-loop on node 1 feeds a 2-cycle of root x/4
+        m = np.array([[x, x, 0.0], [0.0, 0.0, x / 4], [0.0, x / 4, 0.0]])
+        assert spectral_radius(m).rho == x
+        b = nu_lower_bound(m)
+        assert b.indices == (1,) and b.rho_sub == b.bound == x
 
     def test_similarity_invariance(self):
         rng = np.random.default_rng(5)
@@ -262,6 +275,14 @@ class TestSubsetScreen:
             else:
                 assert b.indices == (1,) and b.rho_sub == 0.0
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scale_against_enumeration(self, scale):
+        rng = np.random.default_rng(27 + (scale < 1))
+        for i in range(18):
+            n = int(rng.integers(1, 10))
+            m = scale * _fuzz_matrix(rng, FUZZ_KINDS[i % 3], n)
+            assert nu_lower_bound(m) == enum_subset_bound(m)
+
     def test_fuzz_with_subset_size_limit(self):
         rng = np.random.default_rng(24)
         for _ in range(20):
@@ -405,6 +426,51 @@ class TestScreenPrune:
                 stack = np.triu(stack, 1)[np.arange(200)[:, None, None], perm[:, :, None], perm[:, None, :]]
             ub = np.minimum(stack.sum(axis=2).max(axis=1), stack.sum(axis=1).max(axis=1))
             assert np.all(spectral._perron_roots(stack) <= ub * (1 + 1e-9))
+
+    def test_dense_n13_to_n16_matches_unpruned_reference(self):
+        for n in range(13, 17):
+            m = np.random.default_rng(40 + n).random((n, n))
+            assert _screen_of(m, 12) == ref_screen(m, 12)
+
+    @pytest.mark.parametrize("kind", ["sparse", "wide", "nilpotent"])
+    def test_line_sum_caps_bound_every_subset(self, kind):
+        # every k-subset's row/column-sum bound is at most the line-sum cap c_k
+        rng = np.random.default_rng(44 + ["sparse", "wide", "nilpotent"].index(kind))
+        for _ in range(30):
+            n = int(rng.integers(1, 10))
+            m = _prune_matrix(rng, kind, n)
+            k_max = int(rng.integers(1, n + 1))
+            caps = spectral._line_sum_caps(m, k_max)
+            assert caps.shape == (k_max,)
+            for k in range(1, k_max + 1):
+                idx = np.array(list(combinations(range(n), k)))
+                sub = m[idx[:, :, None], idx[:, None, :]]
+                ub = np.minimum(sub.sum(axis=2).max(axis=1), sub.sum(axis=1).max(axis=1)) / k
+                assert np.all(ub <= caps[k - 1] * (1 + 1e-12))
+
+    @pytest.mark.parametrize("n, limit", [(12, 100), (16, 20_000)])
+    def test_line_sum_caps_skip_most_gathers_at_dense_n(self, n, limit, monkeypatch):
+        # without the line-sum caps the screen gathered 2,509 subsets at n=12
+        # and 39,202 at n=16 to send a few dozen to eigvals
+        gathered, confirms = [], []
+        estimates, rho = spectral._reachable_estimates, spectral._rho
+
+        def counting_estimates(scaled, rows, top):
+            gathered.append(rows.shape[0])
+            return estimates(scaled, rows, top)
+
+        def counting_rho(a):
+            confirms.append(1)
+            return rho(a)
+
+        monkeypatch.setattr(spectral, "_reachable_estimates", counting_estimates)
+        monkeypatch.setattr(spectral, "_rho", counting_rho)
+        m = np.random.default_rng(n).random((n, n))
+        b = nu_lower_bound(m, max_subset_size=12)
+        assert b.exhaustive
+        assert sum(gathered) < limit
+        assert len(confirms) <= 20  # the initial (1,) bound and the confirms
+        _assert_reaches_eig_max(m, b, 12)
 
     def test_few_subsets_reach_eigvals_at_dense_n12(self, monkeypatch):
         def counter(module):
