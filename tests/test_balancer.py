@@ -177,6 +177,22 @@ class TestFusedObjective:
                 self.assert_same_trace(m, theta)
 
 
+def _assert_solo_bits(runs, mats, thetas, max_iter, until_crossing):
+    """Each trajectory of the stacked ``runs`` on ``mats``, whose matrices it
+    may have zero-padded, has the bits of its run alone on the unpadded one."""
+    for i, m in enumerate(mats):
+        alone = _balance_runs(m, thetas, max_iter, 1e-9, until_crossing=until_crossing)
+        got = slice(i * len(thetas), (i + 1) * len(thetas))
+        np.testing.assert_array_equal(runs.updates[got], alone.updates)
+        for j, u in enumerate(alone.updates):
+            rel = runs.rel[:u, got][:, j]
+            np.testing.assert_array_equal(rel.view(np.int64), alone.rel[:u, j].view(np.int64))
+        np.testing.assert_array_equal(runs.objective[got].view(np.int64), alone.objective.view(np.int64))
+        np.testing.assert_array_equal(runs.final[got, : len(m)].view(np.int64), alone.final.view(np.int64))
+        for f in ("converged", "oscillating"):
+            np.testing.assert_array_equal(getattr(runs, f)[got], getattr(alone, f))
+
+
 class TestStackedThetas:
     """All thetas of one matrix run as one stack; each trajectory must equal,
     bit for bit, the per-theta oracle run alone."""
@@ -228,9 +244,9 @@ class TestStackedThetas:
             assert convergence_study(**cfg) == ref_convergence_study(**cfg), cfg
 
     def test_stacked_trials_against_oracle(self, monkeypatch):
-        # at n <= 16 the study runs the trials of one size as one stack: on
-        # both sides of that threshold its rows must be the per-trajectory
-        # oracle's, and each stacked trajectory must have the bits it has alone
+        # at n <= 16 the study stacks the trials of a size: on both sides of
+        # that threshold its rows must be the per-trajectory oracle's, and
+        # each stacked trajectory must have the bits it has alone
         seen = {"stacked": 0, "staggered": 0, "cut": 0}
         study_matrix = _study_matrices(monkeypatch)
         configs = itertools.product((1, 2, 3, 15, 16, 17), ("uniform", "holes", "zero", "wide"))
@@ -245,20 +261,65 @@ class TestStackedThetas:
             ms = np.stack([study_matrix(n, c, t, dist) for t in range(trials)])
             for until_crossing in (False, True):
                 runs = _balance_runs(ms, thetas, max_iter, 1e-9, until_crossing=until_crossing)
-                for i, m in enumerate(ms):
-                    alone = _balance_runs(m, thetas, max_iter, 1e-9, until_crossing=until_crossing)
-                    got = slice(i * len(thetas), (i + 1) * len(thetas))
-                    np.testing.assert_array_equal(runs.updates[got], alone.updates)
-                    for j, u in enumerate(alone.updates):
-                        rel = runs.rel[:u, got][:, j]
-                        np.testing.assert_array_equal(rel.view(np.int64), alone.rel[:u, j].view(np.int64))
-                    for f in ("objective", "final"):
-                        np.testing.assert_array_equal(getattr(runs, f)[got].view(np.int64), getattr(alone, f).view(np.int64))
-                    for f in ("converged", "oscillating"):
-                        np.testing.assert_array_equal(getattr(runs, f)[got], getattr(alone, f))
+                _assert_solo_bits(runs, ms, thetas, max_iter, until_crossing)
                 seen["stacked"] += trials > 1
                 seen["staggered"] += len(set(runs.updates.tolist())) > 1
                 seen["cut"] += (runs.updates == max_iter).any()
+        assert all(seen.values()), seen
+
+    def test_sizes_share_padded_stacks_against_oracle(self, monkeypatch):
+        # all sizes n <= 16 of one study share stacks of up to 64 trajectories,
+        # zero-padded to each stack's largest n: unsorted and repeated sizes,
+        # n = 1, sizes on both sides of 16 and sizes split across stacks must
+        # all give the per-trajectory oracle's rows
+        _study_matrices(monkeypatch)
+        shapes = []
+        run = balancer._balance_runs
+
+        def spy(a, thetas, *args, **kwargs):
+            shapes.append(a.shape)
+            return run(a, thetas, *args, **kwargs)
+
+        monkeypatch.setattr(balancer, "_balance_runs", spy)
+        configs = [
+            dict(ns=[16, 3, 1, 3, 9, 17], trials=5, thetas=[0.2, 0.5, 0.9, 1.0], tol_grid=[1e-2, 1e-6], dist="holes"),
+            dict(ns=[2, 4, 8, 16, 32], trials=3, thetas=list(self.THETA_SETS[4]), tol_grid=[1e-3], seed=4),
+            dict(ns=[1, 16, 2], trials=7, thetas=[0.3, 1.0], tol_grid=[1e-1, 1e-4], seed=2, max_iter=5, dist="wide"),
+            dict(ns=[5, 5, 18, 1], trials=4, thetas=[0.4, 0.8, 1.0], tol_grid=[1e-3, 1e-9], seed=7, dist="zero"),
+            dict(ns=[12, 6, 20, 3], trials=9, thetas=[0.6, 0.2, 0.9], tol_grid=[1e-2, 1e-8], seed=8, dist="sparse", density=0.3),
+            dict(ns=[15, 13, 14], trials=6, thetas=list(self.THETA_SETS[2]), tol_grid=[1e-5], seed=6, max_iter=40, dist="wide"),
+        ]
+        split = 0
+        for cfg in configs:
+            shapes.clear()
+            assert convergence_study(**cfg) == ref_convergence_study(**cfg), cfg
+            small = sorted(n for n in cfg["ns"] if n <= balancer._CANDIDATES for _ in range(cfg["trials"]))
+            per = balancer._STACK // len(cfg["thetas"])
+            big = sorted(n for n in cfg["ns"] if n > balancer._CANDIDATES)
+            expected = [(len(s), max(s), max(s)) for s in (small[j : j + per] for j in range(0, len(small), per))]
+            assert shapes == expected + [(1, n, n) for n in big for _ in range(cfg["trials"])], cfg
+            split += len(expected) > 1
+        assert split == 4
+
+    def test_padded_stack_has_the_solo_bits(self, monkeypatch):
+        # in crossing-stop mode a trajectory on a matrix zero-padded to a
+        # larger n has the bits of its run alone on the unpadded matrix
+        seen = {"padded": 0, "cut": 0, "staggered": 0}
+        study_matrix = _study_matrices(monkeypatch)
+        dists = ("uniform", "holes", "zero", "wide", "sparse")
+        for c in range(12):
+            thetas = self.THETA_SETS[c % len(self.THETA_SETS)]
+            max_iter = 6 if c % 3 == 0 else 200
+            ns = [1 + (c * 7 + 3 * t) % 16 for t in range(1 + c % 6)]
+            size = max(ns)
+            ms = np.zeros((len(ns), size, size))
+            for t, n in enumerate(ns):
+                ms[t, :n, :n] = study_matrix(n, c, t, dists[(c + t) % len(dists)])
+            runs = _balance_runs(ms, thetas, max_iter, 1e-9, until_crossing=True)
+            _assert_solo_bits(runs, [m[:n, :n] for m, n in zip(ms, ns)], thetas, max_iter, True)
+            seen["padded"] += min(ns) < size
+            seen["cut"] += (runs.updates == max_iter).any()
+            seen["staggered"] += len(set(runs.updates.tolist())) > 1
         assert all(seen.values()), seen
 
     def test_crossing_stop_is_the_full_runs_prefix(self):

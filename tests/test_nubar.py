@@ -17,7 +17,14 @@ from nu_analyzer import (
     scaled_inf_norm,
 )
 from nu_analyzer._graph import cyclic_components
-from nu_analyzer.nubar import NEG, _karp, _log_weights, _max_balance_strong
+from nu_analyzer.nubar import (
+    NEG,
+    _cycle_mean_potentials,
+    _karp,
+    _log_weights,
+    _max_balance_strong,
+    _nubar_result,
+)
 
 from helpers import (
     enum_max_cycle_mean,
@@ -57,6 +64,16 @@ class TestNubarExact:
         r = nubar_exact([[0.0, 1.0], [x * x, 0.0]])
         assert r.value == pytest.approx(x, rel=1e-12)
         assert r.witness_cycle == (1, 2)
+
+    def test_witness_is_the_heavier_of_close_cycles(self):
+        # two disjoint 2-cycles whose means differ by 1e-7: the lighter one,
+        # on the lower nodes, must not count as tight
+        m = np.zeros((4, 4))
+        m[0, 1], m[1, 0] = 0.5, 2.0 * (1.0 - 1e-7) ** 2
+        m[2, 3], m[3, 2] = 4.0, 0.25
+        r = nubar_exact(m)
+        assert r.witness_cycle == (3, 4)
+        assert r.value == 1.0
 
     def test_acyclic_support_value_zero(self):
         # the limit scaling: zero on every node with an outgoing arc, since
@@ -181,6 +198,23 @@ class TestCertificate:
 
     def test_infeasible_scaling_rejected(self):
         assert not certify_optimality([[0.0, 1.0], [1.0, 0.0]], [1.0, 0.0])
+
+    @staticmethod
+    def _result_for(d):
+        a = np.array([[0.0, 1.0], [0.09, 0.0]])
+        return _nubar_result(a, lambda a, lam, p: d, _cycle_mean_potentials(a))
+
+    def test_balanced_scaling_is_certified_and_balanced(self):
+        r = self._result_for(balanced_solution([[0.0, 1.0], [0.09, 0.0]]).scaling.d)
+        assert r.certified and r.balanced
+
+    def test_perturbed_scaling_is_neither_certified_nor_balanced(self):
+        # one weight off by 1e-6 moves the two scaled entries 2e-6 apart:
+        # far above the flags' tolerances of 1e-9 and 1e-8
+        d = balanced_solution([[0.0, 1.0], [0.09, 0.0]]).scaling.d * [1.0 + 1e-6, 1.0]
+        r = self._result_for(d)
+        assert not r.certified
+        assert not r.balanced
 
 
 class TestBalancedSolution:

@@ -175,6 +175,27 @@ class TestReportJson:
         with pytest.raises(ValidationError, match="inconsistent report"):
             read_report(_edited_report(tmp_path, edit, scale=scale))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-20], ids=["scale-1", "scale-1e-20"])
+    @pytest.mark.parametrize("low, high", [("nu_lower", "nubar"), ("nubar", "mu")])
+    def test_chain_slack_is_tight(self, tmp_path, low, high, scale):
+        # the chain allows rounding, not a loose bound: an excess of 1e-3
+        # over the neighbour is refused, one of 1e-8 reads back
+        def excess(factor):
+            def edit(d):
+                if low == "nu_lower":
+                    d["nu_lower"]["bound"] = factor * d["nubar"]
+                else:
+                    d["nubar"] = factor * d[high]
+            return edit
+
+        with pytest.raises(ValidationError, match="inconsistent report"):
+            read_report(_edited_report(tmp_path, excess(1.0 + 1e-3), scale=scale))
+        back = read_report(_edited_report(tmp_path, excess(1.0 + 1e-8), scale=scale))
+        if low == "nu_lower":
+            assert back.nu_lower.bound == (1.0 + 1e-8) * back.nubar
+        else:
+            assert back.nubar == (1.0 + 1e-8) * back.mu
+
     def test_scaling_length_must_match_n(self, tmp_path):
         for edit in (lambda d: d["nubar_scaling"].append(1.0), lambda d: d.update(n=7)):
             with pytest.raises(ValidationError, match="scaling weights"):

@@ -293,14 +293,15 @@ class TestSubsetScreen:
 
     @pytest.mark.parametrize("density", [1.0, 0.4])
     def test_n16_confirms_few_subsets(self, density, monkeypatch):
+        # the screen confirms its subsets through the private _rho
         calls = []
-        radius = spectral.spectral_radius
+        radius = spectral._rho
 
         def counting(*args, **kwargs):
             calls.append(1)
             return radius(*args, **kwargs)
 
-        monkeypatch.setattr(spectral, "spectral_radius", counting)
+        monkeypatch.setattr(spectral, "_rho", counting)
         rng = np.random.default_rng(16)
         m = rng.random((16, 16)) * (rng.random((16, 16)) < density)
         b = nu_lower_bound(m, max_subset_size=12)
