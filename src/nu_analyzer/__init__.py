@@ -23,11 +23,7 @@ from .errors import ValidationError
 from .magnitude import (
     FirSystem,
     MagnitudeMatrix,
-    MagnitudeVector,
-    diag_inf_to_one_norm,
-    linf_induced_norm,
     magnitude_matrix,
-    one_to_inf_norm,
 )
 from .nu_exact import (
     METHOD_CLOSED_FORM_2X2,
@@ -37,7 +33,6 @@ from .nu_exact import (
     nu_2x2,
     nu_oracle,
     nu_ring,
-    nu_ring_from_matrix,
     ring_matrix,
 )
 from .nubar import (
@@ -47,7 +42,6 @@ from .nubar import (
     balance_residuals,
     balanced_solution,
     certify_optimality,
-    is_balanced,
     nubar_exact,
     phi_view,
 )
@@ -61,10 +55,8 @@ from .report_io import (
     read_matrix,
     read_report,
     read_system,
-    write_grid,
     write_matrix,
     write_report,
-    write_study,
     write_trace,
 )
 from .spectral import (
@@ -72,7 +64,6 @@ from .spectral import (
     SubsetBound,
     mu,
     nu_lower_bound,
-    scaled_inf_norm,
     spectral_radius,
 )
 
@@ -81,16 +72,11 @@ __all__ = [
     "ValidationError",
     "FirSystem",
     "MagnitudeMatrix",
-    "MagnitudeVector",
     "magnitude_matrix",
-    "linf_induced_norm",
-    "one_to_inf_norm",
-    "diag_inf_to_one_norm",
     "SpectralResult",
     "SubsetBound",
     "spectral_radius",
     "mu",
-    "scaled_inf_norm",
     "nu_lower_bound",
     "ScalingVector",
     "NubarResult",
@@ -100,7 +86,6 @@ __all__ = [
     "certify_optimality",
     "balanced_solution",
     "balance_residuals",
-    "is_balanced",
     "BalanceStep",
     "BalanceTrace",
     "TrialRecord",
@@ -112,7 +97,6 @@ __all__ = [
     "NuResult",
     "nu_2x2",
     "nu_ring",
-    "nu_ring_from_matrix",
     "ring_matrix",
     "nu_oracle",
     "METHOD_CLOSED_FORM_2X2",
@@ -129,7 +113,5 @@ __all__ = [
     "read_system",
     "read_report",
     "write_report",
-    "write_grid",
-    "write_study",
     "write_trace",
 ]

@@ -41,14 +41,6 @@ class BalanceTrace:
     def objective(self) -> float:
         return self.iterations[-1].objective
 
-    def iterations_to(self, tol: float) -> int | None:
-        """Number of updates until the objective's relative change first
-        drops to ``tol``; None if it never does."""
-        for step in self.iterations[1:]:
-            if step.rel_change <= tol:
-                return step.t - 1
-        return None
-
 
 def _check_params(thetas, tol: float, max_iter: int) -> None:
     if not len(thetas):
@@ -383,9 +375,11 @@ def convergence_study(
     """Iteration counts to reach each tolerance, aggregated over trials.
 
     For every n the same seeded matrices are balanced with all thetas of one
-    matrix in one stacked run. At n <= 16, where every update takes full
-    passes, the trials of all such sizes share runs of up to 64 trajectories,
-    in order of size, each matrix zero-padded to the largest n of its run.
+    matrix in one stacked run; a size repeated in ``ns`` is balanced once,
+    and its rows are emitted for each entry. At n <= 16, where every update
+    takes full passes, the trials of all such sizes share runs of up to 64
+    trajectories, in order of size, each matrix zero-padded to the largest n
+    of its run.
     A padded node has an all-zero row and column, so it only adds zero terms
     to maxima that already hold the zero diagonal, and its weight, which
     stays finite, is read by no real node. Above n = 16 each matrix has a
@@ -408,10 +402,11 @@ def convergence_study(
     _check_params(thetas, stop_tol, max_iter)
     tols = np.asarray(tol_grid, dtype=float)
     never = max_iter + 1
-    # jobs of (entry of ns, trial), in order of size, so that a stack pads
-    # its matrices little
-    jobs = [(i, trial) for i in sorted(range(len(ns)), key=ns.__getitem__) for trial in range(trials)]
-    small = [job for job in jobs if ns[job[0]] <= _CANDIDATES]
+    sizes = sorted(set(ns))
+    # jobs of (index into sizes, trial), in order of size, so that a stack
+    # pads its matrices little
+    jobs = [(i, trial) for i in range(len(sizes)) for trial in range(trials)]
+    small = [job for job in jobs if sizes[job[0]] <= _CANDIDATES]
     per = max(1, _STACK // len(thetas))
     stacks = [small[j : j + per] for j in range(0, len(small), per)]
     # above n = T each trajectory of a stack would gather its own matrix's
@@ -419,18 +414,19 @@ def convergence_study(
     # n = 128 tolerance study and 15% slower on the sizes past 16 of the size
     # study, since it lasts until its slowest trajectory stops (1,055 updates
     # against 1,319 unstacked) while each update's gathers double
-    stacks += [[job] for job in jobs if ns[job[0]] > _CANDIDATES]
-    # counts[i, k, t, trial]: updates until theta k's trajectory on ns[i] reaches tols[t]
-    counts = np.empty((len(ns), len(thetas), tols.size, trials), dtype=np.int64)
+    stacks += [[job] for job in jobs if sizes[job[0]] > _CANDIDATES]
+    # counts[i, k, t, trial]: updates until theta k's trajectory on sizes[i] reaches tols[t]
+    counts = np.empty((len(sizes), len(thetas), tols.size, trials), dtype=np.int64)
     for stack in stacks:
-        size = max(ns[i] for i, _ in stack)
+        size = max(sizes[i] for i, _ in stack)
         ms = np.zeros((len(stack), size, size))
         for m, (i, trial) in zip(ms, stack):
-            m[: ns[i], : ns[i]] = trial_matrix(ns[i], seed, trial, dist, density)
+            m[: sizes[i], : sizes[i]] = trial_matrix(sizes[i], seed, trial, dist, density)
         runs = _balance_runs(ms, thetas, max_iter, stop_tol, until_crossing=True)
         hit = _crossings(runs.rel, runs.updates, tols, never).reshape(tols.size, len(stack), len(thetas))
         i, trial = np.array(stack).T
         counts[i, :, :, trial] = hit.transpose(1, 2, 0)
+    counts = counts[np.searchsorted(sizes, ns)]  # one block per entry of ns
     counts.sort(axis=3)  # trials that never cross come last
     hits = (counts < never).sum(axis=3)
     # positions of the largest hit and of the two middle ones

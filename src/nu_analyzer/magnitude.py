@@ -83,25 +83,6 @@ class MagnitudeMatrix:
         return cls(np.asarray(values, dtype=float))
 
 
-@dataclass(frozen=True)
-class MagnitudeVector:
-    """Per-channel peak magnitudes."""
-
-    v: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.v, dtype=float)
-        if a.ndim != 1:
-            raise ValidationError(f"magnitude vector must be one-dimensional, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValidationError("magnitude vector has non-finite entries")
-        if np.any(a < 0):
-            raise ValidationError("magnitude vector has negative entries")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "v", a)
-
-
 def as_array(M) -> np.ndarray:
     """Coerce a MagnitudeMatrix or array-like into a validated ndarray."""
     if isinstance(M, MagnitudeMatrix):
@@ -122,20 +103,3 @@ def magnitude_matrix(sys: FirSystem) -> MagnitudeMatrix:
         m[i - 1, j - 1] = total
     return MagnitudeMatrix(m)
 
-
-def linf_induced_norm(M) -> float:
-    """Maximum row sum."""
-    a = as_array(M)
-    return float(a.sum(axis=1).max())
-
-
-def one_to_inf_norm(M) -> float:
-    """Maximum entry."""
-    a = as_array(M)
-    return float(a.max())
-
-
-def diag_inf_to_one_norm(delta: MagnitudeVector) -> float:
-    """Total gain of a diagonal uncertainty: the sum of its channel magnitudes."""
-    v = delta.v if isinstance(delta, MagnitudeVector) else MagnitudeVector(np.asarray(delta, dtype=float)).v
-    return float(v.sum())

@@ -98,24 +98,6 @@ def nu_ring(weights) -> NuResult:
     return NuResult(value, witness, METHOD_RING)
 
 
-def nu_ring_from_matrix(M) -> NuResult:
-    """Validate a cyclic-permutation support and evaluate the ring formula,
-    relabeling the channels along the cycle."""
-    a = as_array(M)
-    n = a.shape[0]
-    pos = a > 0
-    if not (np.all(pos.sum(axis=1) == 1) and np.all(pos.sum(axis=0) == 1)):
-        raise ValidationError("not a ring: every channel needs exactly one driver and one listener")
-    succ = np.argmax(pos, axis=1)
-    order = [0]
-    for _ in range(n - 1):
-        order.append(int(succ[order[-1]]))
-    if len(set(order)) != n or int(succ[order[-1]]) != 0:
-        raise ValidationError("not a ring: support splits into shorter cycles")
-    weights = [a[u, succ[u]] for u in order]
-    return nu_ring(np.array(weights))
-
-
 @cache
 def _simplex_grid(n: int, grid: int) -> np.ndarray:
     """Every point of the simplex whose coordinates are multiples of 1/grid,

@@ -67,17 +67,12 @@ class PhiView:
     feasible: bool
 
 
-def _scaling_for(a: np.ndarray, d) -> ScalingVector:
-    """``d`` as a ScalingVector, checked against the size of ``a``."""
+def phi_view(M, d) -> PhiView:
+    a = as_array(M)
     sv = d if isinstance(d, ScalingVector) else ScalingVector(d)
     if sv.d.shape != (a.shape[0],):
         raise ValidationError(f"scaling vector has wrong length {sv.d.shape} for n={a.shape[0]}")
-    return sv
-
-
-def phi_view(M, d) -> PhiView:
-    a = as_array(M)
-    return _phi(a, _scaling_for(a, d).d)
+    return _phi(a, sv.d)
 
 
 def _phi(a: np.ndarray, dv: np.ndarray) -> PhiView:
@@ -267,10 +262,6 @@ def _residuals(view: PhiView) -> np.ndarray:
     return np.abs(in_max - out_max) / scale
 
 
-def is_balanced(M, d, tol: float = 1e-8) -> bool:
-    return bool(balance_residuals(M, d).max() <= tol)
-
-
 def nubar_exact(M) -> NubarResult:
     """Exact value of the scaling bound with an optimal scaling and witness.
 
@@ -279,7 +270,7 @@ def nubar_exact(M) -> NubarResult:
     at most the value and the witness cycle tight. On acyclic support the
     value is 0, which no strictly positive scaling attains; the scaling is
     then the limit one, zero on every node with an outgoing arc and one on
-    the rest, and ``scaled_inf_norm`` rejects it.
+    the rest, and ``scaling.strictly_positive`` is False.
     """
     a = as_array(M)
     return _nubar_result(a, lambda a, lam, p: np.exp(p - p.max()), _cycle_mean_potentials(a))

@@ -19,7 +19,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .balancer import BalanceTrace, StudyRow
+from .balancer import BalanceTrace
 from .errors import ValidationError
 from .magnitude import FirSystem, MagnitudeMatrix
 
@@ -244,14 +244,6 @@ def table_csv(cls, records) -> str:
     cells = [(name, str if tp is int else _fmt) for name, tp in hints.items()]
     lines = [",".join(fmt(getattr(r, name)) for name, fmt in cells) for r in records]
     return "\n".join([",".join(hints), *lines])
-
-
-def write_grid(records: list[Grid2x2Record], path) -> None:
-    Path(path).write_text(table_csv(Grid2x2Record, records) + "\n")
-
-
-def write_study(rows: list[StudyRow], path) -> None:
-    Path(path).write_text(table_csv(StudyRow, rows) + "\n")
 
 
 def write_trace(trace: BalanceTrace, path) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 from ._graph import cyclic_components
 from .errors import ValidationError
 from .magnitude import as_array
-from .nubar import _cycle_mean_potentials, _Front, _nubar_normalized, _scaling_for
+from .nubar import _cycle_mean_potentials, _Front, _nubar_normalized
 
 # Relative width of the band below the top screened bound inside which
 # subsets are confirmed with spectral_radius. The screen's eigvals call is
@@ -99,16 +99,6 @@ def mu(M) -> float:
     return spectral_radius(M).rho
 
 
-def scaled_inf_norm(M, d) -> float:
-    """Maximum row sum after the diagonal similarity with weights ``d``."""
-    a = as_array(M)
-    sv = _scaling_for(a, d)
-    if not sv.strictly_positive:
-        raise ValidationError("scaling vector must be strictly positive and finite")
-    dv = sv.d
-    return float((a * dv[:, None] / dv[None, :]).sum(axis=1).max())
-
-
 def _reachable_estimates(
     scaled: np.ndarray, rows: np.ndarray, top: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +161,7 @@ def _screen(
         return [], True  # acyclic support: every principal submatrix is nilpotent
     scaled = _nubar_normalized(front)
     n = a.shape[0]
-    rho_norm = max(float(_perron_roots(scaled[np.ix_(c, c)])) for c in cyclic_components(a))
+    rho_norm = _rho(scaled)
     caps = _line_sum_caps(scaled, max_size)
     witness = tuple(sorted(front.cycle)) if len(front.cycle) <= max_size else ()
     screened, top, total, exhaustive = [], 0.0, 0, True

@@ -35,8 +35,8 @@ from nu_analyzer import (
     NubarResult,
     ScalingVector,
     SubsetBound,
+    balance_residuals,
     certify_optimality,
-    is_balanced,
     nubar_exact,
     spectral_radius,
 )
@@ -142,7 +142,7 @@ def nubar_lp(M, tol_log: float = 1e-10) -> NubarResult:
     if not cyclic_components(a):
         d = _acyclic_scaling(a)
         sv = ScalingVector(d)
-        return NubarResult(0.0, sv, (), certify_optimality(a, d), is_balanced(a, d))
+        return NubarResult(0.0, sv, (), certify_optimality(a, d), bool(balance_residuals(a, d).max() <= 1e-8))
     w = _log_weights(a)
     arcs = w > NEG
 
@@ -179,7 +179,7 @@ def nubar_lp(M, tol_log: float = 1e-10) -> NubarResult:
         sv,
         tuple(i + 1 for i in cycle),
         certify_optimality(a, d),
-        is_balanced(a, d),
+        bool(balance_residuals(a, d).max() <= 1e-8),
     )
 
 

@@ -1,11 +1,16 @@
+import ast
 import importlib
 import inspect
 import json
+import re
 from pathlib import Path
+
+import pytest
 
 import nu_analyzer
 
-BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 
 def test_public_names_resolve_once():
@@ -30,3 +35,23 @@ def test_traced_functions_stay_public():
         assert not function_name.startswith("_"), function_name
         assert inspect.isfunction(function), f"{module_name}.{function_name}"
         assert function.__module__ == module.__name__, f"{module_name}.{function_name}"
+
+
+def test_readme_sketch_gives_its_commented_values():
+    # every expression line of the README's python sketch whose comment
+    # starts with a number must evaluate to that number
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    lines = block.splitlines()
+    scope: dict = {}
+    got, expected = [], []
+    for node in ast.parse(block).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README.md", "exec"), scope)
+            continue
+        value = eval(compile(ast.Expression(node.value), "README.md", "eval"), scope)
+        comment = re.search(r"#\s*([0-9.]+):", lines[node.lineno - 1])
+        if comment:
+            got.append(value)
+            expected.append(float(comment.group(1)))
+    assert expected == [1.0, 1.0, 0.25, 0.25]
+    assert got == [pytest.approx(v, rel=1e-9) for v in expected]

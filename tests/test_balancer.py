@@ -271,7 +271,8 @@ class TestStackedThetas:
         # all sizes n <= 16 of one study share stacks of up to 64 trajectories,
         # zero-padded to each stack's largest n: unsorted and repeated sizes,
         # n = 1, sizes on both sides of 16 and sizes split across stacks must
-        # all give the per-trajectory oracle's rows
+        # all give the per-trajectory oracle's rows, and a repeated size is
+        # balanced once
         _study_matrices(monkeypatch)
         shapes = []
         run = balancer._balance_runs
@@ -293,9 +294,10 @@ class TestStackedThetas:
         for cfg in configs:
             shapes.clear()
             assert convergence_study(**cfg) == ref_convergence_study(**cfg), cfg
-            small = sorted(n for n in cfg["ns"] if n <= balancer._CANDIDATES for _ in range(cfg["trials"]))
+            sizes = set(cfg["ns"])
+            small = sorted(n for n in sizes if n <= balancer._CANDIDATES for _ in range(cfg["trials"]))
             per = balancer._STACK // len(cfg["thetas"])
-            big = sorted(n for n in cfg["ns"] if n > balancer._CANDIDATES)
+            big = sorted(n for n in sizes if n > balancer._CANDIDATES)
             expected = [(len(s), max(s), max(s)) for s in (small[j : j + per] for j in range(0, len(small), per))]
             assert shapes == expected + [(1, n, n) for n in big for _ in range(cfg["trials"])], cfg
             split += len(expected) > 1

@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from nu_analyzer import (
     FirSystem,
     MagnitudeMatrix,
-    MagnitudeVector,
     ValidationError,
-    diag_inf_to_one_norm,
-    linf_induced_norm,
     magnitude_matrix,
-    one_to_inf_norm,
 )
 
 
@@ -78,43 +72,6 @@ class TestMagnitudeMatrixOp:
         m2 = magnitude_matrix(FirSystem(n=2, entries=e2)).m
         m12 = magnitude_matrix(FirSystem(n=2, entries={**e1, **e2})).m
         np.testing.assert_allclose(m12, m1 + m2)
-
-
-class TestNorms:
-    def test_linf_identity(self):
-        assert linf_induced_norm(np.eye(3)) == 1.0
-
-    def test_linf_row_sums(self):
-        assert linf_induced_norm([[1.0, 2.0], [0.0, 0.5]]) == 3.0
-
-    def test_linf_ring_permutation(self):
-        n = 5
-        m = np.zeros((n, n))
-        for k in range(n):
-            m[k, (k + 1) % n] = 1.0
-        assert linf_induced_norm(m) == 1.0
-
-    def test_max_element_cases(self):
-        assert one_to_inf_norm(np.eye(4)) == 1.0
-        assert one_to_inf_norm([[0.2, 0.9], [0.1, 0.3]]) == 0.9
-        assert one_to_inf_norm(np.zeros((3, 3))) == 0.0
-
-    def test_diagonal_uncertainty_norm_is_sum(self):
-        assert diag_inf_to_one_norm(MagnitudeVector(np.array([1.0, 1.0, 1.0]))) == 3.0
-        assert diag_inf_to_one_norm([0.5, 0.25]) == 0.75
-        assert diag_inf_to_one_norm(np.zeros(4)) == 0.0
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.lists(st.floats(0, 100, allow_nan=False), min_size=3, max_size=3),
-            min_size=3,
-            max_size=3,
-        )
-    )
-    def test_row_sum_dominates_max_element(self, rows):
-        m = np.array(rows)
-        assert linf_induced_norm(m) >= one_to_inf_norm(m) - 1e-12
 
 
 class TestValidation:

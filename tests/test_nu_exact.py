@@ -10,7 +10,6 @@ from nu_analyzer import (
     nu_exact,
     nu_oracle,
     nu_ring,
-    nu_ring_from_matrix,
     nubar_exact,
     ring_matrix,
     spectral_radius,
@@ -119,25 +118,6 @@ class TestNuRing:
             w = rng.uniform(0.2, 3.0, size=n)
             r = nu_ring(w)
             assert witness_is_destabilizing(ring_matrix(w), r.witness_delta)
-
-    def test_from_matrix_with_relabeling(self):
-        # a 3-cycle written with permuted rows is still a ring
-        m = np.zeros((3, 3))
-        m[0, 2] = 0.7
-        m[2, 1] = 1.1
-        m[1, 0] = 0.9
-        r = nu_ring_from_matrix(m)
-        g = 0.7 * 1.1 * 0.9
-        assert r.value == pytest.approx(g ** (1 / 3) / 3, rel=1e-12)
-
-    def test_non_ring_rejected(self):
-        with pytest.raises(ValidationError):
-            nu_ring_from_matrix(np.eye(3))
-        with pytest.raises(ValidationError):
-            # two disjoint 2-cycles are not a single ring
-            m = np.zeros((4, 4))
-            m[0, 1] = m[1, 0] = m[2, 3] = m[3, 2] = 1.0
-            nu_ring_from_matrix(m)
 
     def test_nonpositive_weights_rejected(self):
         with pytest.raises(ValidationError):

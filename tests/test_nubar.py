@@ -14,7 +14,6 @@ from nu_analyzer import (
     nubar_exact,
     phi_view,
     ring_matrix,
-    scaled_inf_norm,
 )
 from nu_analyzer._graph import cyclic_components
 from nu_analyzer.nubar import (
@@ -86,8 +85,6 @@ class TestNubarExact:
         assert r.witness_cycle == ()
         np.testing.assert_array_equal(r.scaling.d, [0.0, 0.0, 0.0, 1.0])
         assert phi_view(m, r.scaling.d).matrix.max() == 0.0
-        with pytest.raises(ValidationError):
-            scaled_inf_norm(m, r.scaling)
 
     def test_diagonal_matrix_self_loops(self):
         r = nubar_exact(np.diag([0.2, 0.8, 0.5]))

@@ -19,7 +19,7 @@ from nu_analyzer import (
 )
 from nu_analyzer.balancer import StudyRow
 from nu_analyzer.cli import build_report
-from nu_analyzer.report_io import report_json, table_csv, write_study
+from nu_analyzer.report_io import report_json, table_csv
 
 from helpers import mixed_corpus
 
@@ -291,11 +291,9 @@ class TestPinnedBytes:
 
 
 class TestTables:
-    def test_study_csv_header(self, tmp_path):
+    def test_study_csv_header(self):
         rows = [StudyRow(n=4, theta=0.5, tol=1e-3, max_iters=12, median_iters=8, failures=0)]
-        path = tmp_path / "study.csv"
-        write_study(rows, path)
-        lines = path.read_text().splitlines()
+        lines = table_csv(StudyRow, rows).splitlines()
         assert lines[0] == "n,theta,tol,max_iters,median_iters,failures"
         assert lines[1].startswith("4,0.5,0.001,12,8,0")
 
