@@ -1,11 +1,11 @@
 """Directed-graph utilities shared by the analysis modules.
 
 The graph of a matrix is its support graph: an arc i -> j wherever entry
-(i, j) is positive. Tarjan's search and the condensation order take
-adjacency lists over nodes 0..n-1; ``cyclic_components`` takes the matrix
-and is the one place that decides which components carry a cycle. A caller
-that already holds the matrix's ``support_adjacency`` passes it as ``adj``
-so the lists are built once.
+(i, j) is positive. Tarjan's search takes adjacency lists over nodes
+0..n-1; ``cyclic_components`` takes the matrix and is the one place that
+decides which components carry a cycle. A caller that already holds the
+matrix's ``support_adjacency`` passes it as ``adj`` so the lists are built
+once.
 Everything here is deterministic: neighbor lists are processed in sorted
 order and strongly connected components come out in a fixed order.
 """
@@ -80,18 +80,6 @@ def strongly_connected_components(n: int, adj: list[list[int]]) -> list[list[int
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
     return components
-
-
-def condensation_topological_order(
-    n: int, adj: list[list[int]]
-) -> tuple[list[list[int]], list[int]]:
-    """Components in topological order (sources first) plus a node->component map."""
-    comps = list(reversed(strongly_connected_components(n, adj)))
-    comp_of = [0] * n
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    return comps, comp_of
 
 
 def cyclic_components(a: np.ndarray, adj: list[list[int]] | None = None) -> list[list[int]]:

@@ -44,7 +44,7 @@ from .report_io import (
     table_csv,
     write_trace,
 )
-from .spectral import _subset_bound, spectral_radius
+from .spectral import _rho, _subset_bound, spectral_radius
 
 log = logging.getLogger("nu_analyzer")
 
@@ -60,9 +60,10 @@ def build_report(
     a, n = m.m, m.n
     # a cap above n admits every subset, as n itself does
     subset_max = min(n, 12) if subset_max is None else min(subset_max, n)
-    rad = spectral_radius(m)  # m is validated, so this solves without checking again
-    # balanced_solution and nu_lower_bound, sharing one nubar front half
+    # mu, balanced_solution and nu_lower_bound, sharing one nubar front half
+    # and its component search; acyclic support is nilpotent
     front = _cycle_mean_potentials(a)
+    mu = 0.0 if front is None else _rho(a, front.comps)
     bal = _nubar_result(a, _balanced_scaling, front)
     lower = _subset_bound(a, subset_max, front)
 
@@ -87,12 +88,12 @@ def build_report(
     diag_max = bool(bal.value > 0 and float(np.diag(a).max()) >= bal.value * (1 - 1e-9))
     ratios = ReportRatios(
         nubar_over_nu_lower=(bal.value / lower.bound) if lower.bound > 0 else None,
-        mu_over_nubar=(rad.rho / bal.value) if bal.value > 0 else None,
+        mu_over_nubar=(mu / bal.value) if bal.value > 0 else None,
     )
     try:
         return RobustnessReport(
             n=n,
-            mu=rad.rho,
+            mu=mu,
             nubar=bal.value,
             nubar_scaling=tuple(float(v) for v in bal.scaling.d),
             nubar_certified=bal.certified,

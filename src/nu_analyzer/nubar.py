@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._graph import condensation_topological_order, cyclic_components, support_adjacency
+from ._graph import cyclic_components, strongly_connected_components, support_adjacency
 from .errors import ValidationError
 from .magnitude import as_array
 
@@ -118,12 +118,15 @@ def _karp(w: np.ndarray) -> tuple[float, np.ndarray | None]:
 
 class _Front(NamedTuple):
     """The nubar front half: the maximum cycle mean ``lam`` of the log
-    weights ``w``, the potentials ``p`` and the witness cycle."""
+    weights ``w``, the potentials ``p``, the witness cycle and the support's
+    strongly connected components ``comps`` in Tarjan order, which ``mu``,
+    the screen's size cap and the balanced scaling read."""
 
     lam: float
     w: np.ndarray
     p: np.ndarray
     cycle: tuple[int, ...]
+    comps: list[list[int]]
 
 
 def _cycle_mean_potentials(a: np.ndarray) -> _Front | None:
@@ -133,7 +136,8 @@ def _cycle_mean_potentials(a: np.ndarray) -> _Front | None:
     lam, p = _karp(w)
     if p is None:
         return None
-    return _Front(lam, w, p, _witness_cycle(w, lam, p))
+    comps = strongly_connected_components(a.shape[0], support_adjacency(a))
+    return _Front(lam, w, p, _witness_cycle(w, lam, p), comps)
 
 
 def _nubar_normalized(front: _Front) -> np.ndarray:
@@ -273,18 +277,18 @@ def nubar_exact(M) -> NubarResult:
     the rest, and ``scaling.strictly_positive`` is False.
     """
     a = as_array(M)
-    return _nubar_result(a, lambda a, lam, p: np.exp(p - p.max()), _cycle_mean_potentials(a))
+    return _nubar_result(a, lambda a, f: np.exp(f.p - f.p.max()), _cycle_mean_potentials(a))
 
 
 def _nubar_result(a: np.ndarray, scaling, front: _Front | None) -> NubarResult:
-    """The result for the scaling ``scaling(a, lam, p)`` picks from the
+    """The result for the scaling ``scaling(a, front)`` picks from the
     front half ``front`` of ``a``, with the value taken along the witness
     cycle. Acyclic support gets the limit scaling, value 0 and no witness.
     """
     if front is None:
         cycle, d = (), _acyclic_scaling(a)
     else:
-        cycle, d = front.cycle, scaling(a, front.lam, front.p)
+        cycle, d = front.cycle, scaling(a, front)
     sv = ScalingVector(d)
     view = _phi(a, sv.d)
     return NubarResult(
@@ -360,15 +364,17 @@ def balanced_solution(M) -> NubarResult:
     return _nubar_result(a, _balanced_scaling, _cycle_mean_potentials(a))
 
 
-def _balanced_scaling(a: np.ndarray, lam_all: float, _p: np.ndarray) -> np.ndarray:
-    """Scaling weights of ``balanced_solution`` on cyclic support, whose
-    maximum cycle mean is ``lam_all``."""
+def _balanced_scaling(a: np.ndarray, front: _Front) -> np.ndarray:
+    """Scaling weights of ``balanced_solution`` on cyclic support with front
+    half ``front``. Self-loops neither join nor split components, so the
+    off-diagonal graph's condensation is ``front.comps`` reversed."""
     n = a.shape[0]
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    adj = support_adjacency(off)
-    w_off = _log_weights(off)
-    comps, comp_of = condensation_topological_order(n, adj)
+    w_off = front.w.copy()
+    np.fill_diagonal(w_off, NEG)
+    comps = front.comps[::-1]
+    comp_of = np.empty(n, np.intp)
+    for ci, comp in enumerate(comps):
+        comp_of[comp] = ci
     nblocks = len(comps)
     nontrivial = [len(c) > 1 for c in comps]
 
@@ -378,22 +384,18 @@ def _balanced_scaling(a: np.ndarray, lam_all: float, _p: np.ndarray) -> np.ndarr
         if nontrivial[bi]:
             pi[comp], level[comp] = _max_balance_strong(w_off[np.ix_(comp, comp)])
 
-    # cross-arc bookkeeping over the condensation
-    cross: list[tuple[int, int, int, int]] = []
-    succ_blocks: list[set[int]] = [set() for _ in range(nblocks)]
-    for u in range(n):
-        for v in adj[u]:
-            if comp_of[u] != comp_of[v]:
-                cross.append((comp_of[u], comp_of[v], u, v))
-                succ_blocks[comp_of[u]].add(comp_of[v])
+    # cross arcs over the condensation, in row-major order
+    us, vs = np.nonzero(w_off > NEG)
+    keep = comp_of[us] != comp_of[vs]
+    us, vs = us[keep], vs[keep]
+    cross = list(zip(comp_of[us].tolist(), comp_of[vs].tolist(), us.tolist(), vs.tolist()))
     live = list(nontrivial)
-    for bi in range(nblocks):  # topological: arcs only go forward
-        if live[bi]:
-            for bj in succ_blocks[bi]:
-                live[bj] = True
+    for bs, bt, _, _ in sorted(cross):  # topological: arcs only go forward
+        if live[bs]:
+            live[bt] = True
 
     margin = math.log(0.9)
-    tau = lam_all + math.log(1e-10)  # suppression target for unmatchable sides
+    tau = front.lam + math.log(1e-10)  # suppression target for unmatchable sides
     in_arcs: list[list[tuple[int, float, float]]] = [[] for _ in range(nblocks)]
     out_arcs: list[list[tuple[int, float, float]]] = [[] for _ in range(nblocks)]
     for bs, bt, u, v in cross:
@@ -451,7 +453,7 @@ def _balanced_scaling(a: np.ndarray, lam_all: float, _p: np.ndarray) -> np.ndarr
         for u in comp:
             if live[bi]:
                 d_log[u] = (pi[u] if nontrivial[bi] else 0.0) + x[bi]
-            elif not adj[u]:
+            elif not (w_off[u] > NEG).any():
                 d_log[u] = 0.0  # sinks and isolated nodes: any positive weight
     top = d_log[np.isfinite(d_log)].max()
     # NEG entries give exp(-inf) = 0 exactly, with no overflow warning

@@ -52,8 +52,20 @@ class SubsetBound:
 
 def _perron_roots(stack: np.ndarray) -> np.ndarray:
     """Largest eigenvalue modulus of each matrix along the last two axes: the
-    Perron root of a nonnegative matrix."""
-    return np.abs(np.linalg.eigvals(stack)).max(axis=-1)
+    Perron root of a nonnegative matrix.
+
+    LAPACK's eigensolver can fail to converge on a nearly nilpotent matrix
+    whose entries span hundreds of orders of magnitude. When a stack fails,
+    each matrix is solved alone, which gives the bits it gets in the stack,
+    and a matrix that still fails is solved on its transpose, which has the
+    same spectrum.
+    """
+    try:
+        return np.abs(np.linalg.eigvals(stack)).max(axis=-1)
+    except np.linalg.LinAlgError:
+        if stack.ndim > 2:
+            return np.array([_perron_roots(m) for m in stack])
+        return np.abs(np.linalg.eigvals(stack.T)).max(axis=-1)
 
 
 def spectral_radius(M) -> SpectralResult:
@@ -71,18 +83,21 @@ def spectral_radius(M) -> SpectralResult:
     return SpectralResult(_rho(as_array(M)))
 
 
-def _rho(a: np.ndarray) -> float:
-    """``spectral_radius`` of the validated array ``a``.
+def _rho(a: np.ndarray, comps: list[list[int]] | None = None) -> float:
+    """``spectral_radius`` of the validated array ``a``, over ``comps`` when
+    given: the strongly connected components of a graph holding every arc of
+    ``a`` (the nubar front half's), and over its own cyclic components
+    otherwise.
 
-    A one-node cyclic component is a self-loop, whose Perron root is its
-    diagonal entry; taking the entry itself keeps it exact where LAPACK's
+    A one-node component's Perron root is its diagonal entry, 0 without a
+    self-loop; taking the entry itself keeps it exact where LAPACK's
     eigensolver rescales entries outside about [6.7e-139, 1.5e138] and
     misses by an ulp. A 1x1 array skips the component search.
     """
     if a.shape[0] == 1:
         return max(0.0, float(a[0, 0]))
     rho = 0.0
-    for comp in cyclic_components(a):
+    for comp in cyclic_components(a) if comps is None else comps:
         if len(comp) == 1:
             rho = max(rho, float(a[comp[0], comp[0]]))
         else:
@@ -161,7 +176,7 @@ def _screen(
         return [], True  # acyclic support: every principal submatrix is nilpotent
     scaled = _nubar_normalized(front)
     n = a.shape[0]
-    rho_norm = _rho(scaled)
+    rho_norm = _rho(scaled, front.comps)
     caps = _line_sum_caps(scaled, max_size)
     witness = tuple(sorted(front.cycle)) if len(front.cycle) <= max_size else ()
     screened, top, total, exhaustive = [], 0.0, 0, True

@@ -9,13 +9,14 @@ import pytest
 
 import nu_analyzer
 from nu_analyzer import (
-    SpectralResult,
     nu_oracle,
     read_matrix,
     read_report,
     ring_matrix,
     write_matrix,
 )
+from nu_analyzer import _graph, nubar, spectral
+from nu_analyzer._graph import strongly_connected_components, support_adjacency
 from nu_analyzer.cli import build_report, grid_records, main
 
 from helpers import enum_max_cycle_mean, mixed_corpus
@@ -148,12 +149,41 @@ class TestAnalyze:
     def test_inconsistent_report_is_internal_error(self, capsys, monkeypatch, ring4_csv):
         # the input is valid, so a broken measure chain is the program's
         # fault: exit 1, not the input-validation code 2
-        monkeypatch.setattr("nu_analyzer.cli.spectral_radius", lambda M: SpectralResult(0.0))
+        monkeypatch.setattr("nu_analyzer.cli._rho", lambda a, comps: 0.0)
         for argv in (["analyze", ring4_csv], ["ring", "--n", "4"]):
             code, out, err = run_cli(capsys, *argv)
             assert code == 1
             assert out == ""
             assert "inconsistent report" in err
+
+    def test_wide_range_input_with_unconverged_eigensolve(self, capsys, tmp_path):
+        # entries from e^-300 to e^300: LAPACK's eigensolver fails to converge
+        # on a nearly nilpotent block of a screen stack, a valid input
+        rng = np.random.default_rng(131)
+        m = np.exp(rng.uniform(-300, 300, (18, 18))) * (rng.random((18, 18)) < 0.4)
+        path, out_path = tmp_path / "wide.csv", tmp_path / "wide.json"
+        write_matrix(m, path)
+        code, _, _ = run_cli(capsys, "analyze", str(path), "--out", str(out_path))
+        assert code == 0
+        r = read_report(out_path)
+        assert r.nu_lower.bound <= r.nubar <= r.mu * (1 + 1e-12)
+
+    def test_one_component_search_per_report(self, monkeypatch):
+        # mu, the screen's size cap and the balanced scaling read the
+        # components the nubar front half finds on the support
+        m = np.random.default_rng(8).random((8, 8)) * (np.random.default_rng(9).random((8, 8)) < 0.5)
+        supports = [support_adjacency(m), support_adjacency(m - np.diag(np.diag(m)))]
+        assert supports[0] != supports[1]
+        calls = []
+
+        def spy(n, adj):
+            calls.append(adj)
+            return strongly_connected_components(n, adj)
+
+        for module in (_graph, nubar, spectral):
+            monkeypatch.setattr(module, "strongly_connected_components", spy, raising=False)
+        build_report(m)
+        assert sum(adj in supports for adj in calls) == 1
 
     def test_acyclic_flag_matches_cycle_enumeration(self):
         rng = np.random.default_rng(23)

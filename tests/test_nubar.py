@@ -199,7 +199,7 @@ class TestCertificate:
     @staticmethod
     def _result_for(d):
         a = np.array([[0.0, 1.0], [0.09, 0.0]])
-        return _nubar_result(a, lambda a, lam, p: d, _cycle_mean_potentials(a))
+        return _nubar_result(a, lambda a, front: d, _cycle_mean_potentials(a))
 
     def test_balanced_scaling_is_certified_and_balanced(self):
         r = self._result_for(balanced_solution([[0.0, 1.0], [0.09, 0.0]]).scaling.d)

@@ -138,6 +138,37 @@ class TestWideRangeFuzz:
         assert mu(m) == pytest.approx(expected, rel=1e-12)
 
 
+class TestUnconvergedEigensolve:
+    @pytest.mark.parametrize("seed", [2567, 2781])
+    def test_wide_range_bound_matches_enumeration(self, seed):
+        # entries from e^-300 to e^300: LAPACK's eigensolver fails to converge
+        # on a nearly nilpotent block of a screen stack, which converges alone
+        # on its transpose
+        rng = np.random.default_rng(seed)
+        m = np.exp(rng.uniform(-300, 300, (12, 12))) * (rng.random((12, 12)) < 0.4)
+        assert nu_lower_bound(m, 12) == enum_subset_bound(m, 12)
+
+    def test_failed_stack_keeps_the_bits_of_the_other_matrices(self, monkeypatch):
+        eigvals = np.linalg.eigvals
+        stack = np.random.default_rng(3).random((5, 4, 4))
+        bad = stack[2].copy()
+        failing = [bad]  # not its transpose, at first
+
+        def flaky(x):
+            if any(np.array_equal(m, f) for m in x.reshape(-1, 4, 4) for f in failing):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvals(x)
+
+        monkeypatch.setattr(np.linalg, "eigvals", flaky)
+        roots = spectral._perron_roots(stack)
+        good = [0, 1, 3, 4]
+        assert np.array_equal(roots[good], np.abs(eigvals(stack[good])).max(axis=-1))
+        assert roots[2] == np.abs(eigvals(bad.T)).max()
+        failing.append(bad.T)
+        with pytest.raises(np.linalg.LinAlgError):
+            spectral._perron_roots(stack)
+
+
 class TestMu:
     def test_diagonal_identity_system(self):
         assert mu(np.eye(5)) == pytest.approx(1.0, rel=1e-10)
@@ -436,9 +467,9 @@ class TestScreenPrune:
             gathered.append(rows.shape[0])
             return estimates(scaled, rows, top)
 
-        def counting_rho(a):
+        def counting_rho(a, comps=None):
             confirms.append(1)
-            return rho(a)
+            return rho(a, comps)
 
         monkeypatch.setattr(spectral, "_reachable_estimates", counting_estimates)
         monkeypatch.setattr(spectral, "_rho", counting_rho)
