@@ -145,6 +145,28 @@ def _coarse_search(a: np.ndarray, dirs: np.ndarray) -> tuple[float, np.ndarray]:
     return best, best_dir
 
 
+def _vertex_contenders(a: np.ndarray, best: float, j: int, live: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Indices of the refinement rows ``live`` that may beat the vertex
+    incumbent e_j, whose root is ``best``; row i varies coordinate ``ks[i]``.
+
+    A row with live[:, j] == 1 is e_j itself, whose root is ``best`` bit for
+    bit. Any other row is (1, c)/(1 + c) on the nodes {j, k}, and its Perron
+    root is the larger root rho of the 2x2 block b of diag(row) M on them,
+    taken through hypot so tiny entries do not underflow to a low rho. A row
+    is dropped when rho * (1 + 1e-9) is not above ``best``. That is safe: the
+    grid scored every vertex, so a_kk <= a_jj up to the tie margin and
+    b22 <= c * b11, and a dropped row has b12 * b21 <= c * a_jj^2, so the
+    root is simple and well separated, and ``eigvals``, which balances the
+    block first, lands within a few ulps of rho.
+    """
+    xj = live[:, j]
+    xk = live[np.arange(ks.size), ks]
+    b11, b12 = xj * a[j, j], xj * a[j, ks]
+    b21, b22 = xk * a[ks, j], xk * a[ks, ks]
+    rho = 0.5 * (b11 + b22 + np.hypot(b11 - b22, 2.0 * np.sqrt(b12) * np.sqrt(b21)))
+    return np.flatnonzero((xj < 1.0) & (rho * (1.0 + 1e-9) > best))
+
+
 def _refine(a: np.ndarray, best: float, best_dir: np.ndarray, h: float) -> tuple[float, np.ndarray]:
     """Per-coordinate refinement with the window halved from ``h`` until it
     is below 1e-8, scored in stacks from a cursor.
@@ -157,6 +179,11 @@ def _refine(a: np.ndarray, best: float, best_dir: np.ndarray, h: float) -> tuple
     of its sweep; with no improving row the cursor moves to the end of the
     stack and the run doubles. A run spans several sweeps only from a sweep
     boundary, where every sweep in it starts from the incumbent of the moment.
+
+    While the incumbent is a vertex e_j, every row is e_j or lies on two
+    nodes {j, k}; only the rows whose closed-form 2x2 root, times 1 + 1e-9,
+    beats the incumbent go to ``eigvals`` (``_vertex_contenders``), and the
+    rest score -inf, so the first hit and the cursor are unchanged.
     """
     n = a.shape[0]
     width = 17 * n
@@ -180,7 +207,14 @@ def _refine(a: np.ndarray, best: float, best_dir: np.ndarray, h: float) -> tuple
         totals = trials.sum(axis=-1)
         rows = np.flatnonzero(totals > 0)
         live = trials[rows] / totals[rows, None]
-        roots = _perron_roots(live[:, :, None] * a)
+        vertex = np.flatnonzero(best_dir)
+        if vertex.size == 1:
+            scored = _vertex_contenders(a, best, int(vertex[0]), live, (off + rows) // 17 % n)
+            roots = np.full(rows.size, -np.inf)
+            if scored.size:
+                roots[scored] = _perron_roots(live[scored, :, None] * a)
+        else:
+            roots = _perron_roots(live[:, :, None] * a)
         hits = np.flatnonzero(roots > best + 1e-15)
         if not hits.size:
             i, off, run = i + hs.size, 0, 2 * run
@@ -212,7 +246,14 @@ def nu_oracle(M) -> NuResult:
     dropped before ``eigvals`` (``_coarse_search``). A refinement stack runs
     from a cursor, and only its rows up to the first accepted one count, so
     every row that counts was built from the incumbent that search would
-    hold (``_refine``).
+    hold (``_refine``). While that incumbent is a vertex e_j, as it usually
+    is on dense inputs, a refinement row is e_j itself, which cannot beat
+    it, or lies on two nodes {j, k}, and its root has a closed form; a row
+    whose closed-form root, times 1 + 1e-9, is not above the incumbent's is
+    dropped before ``eigvals``. The grid already scored every vertex, so
+    a_kk <= a_jj and such a row's root is simple and well separated, and
+    ``eigvals`` lands within a few ulps of the closed form
+    (``_vertex_contenders``).
 
     The search runs on M divided by the power of two that brings its largest
     entry into [0.5, 1), so the 1e-15 margin is relative to the matrix's

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -116,17 +116,22 @@ def _karp(w: np.ndarray) -> tuple[float, np.ndarray | None]:
     return lam, (D[:n] - lam * ks).max(axis=0)
 
 
-class _Front(NamedTuple):
+@dataclass(frozen=True)
+class _Front:
     """The nubar front half: the maximum cycle mean ``lam`` of the log
-    weights ``w``, the potentials ``p``, the witness cycle and the support's
-    strongly connected components ``comps`` in Tarjan order, which ``mu``,
-    the screen's size cap and the balanced scaling read."""
+    weights ``w``, the potentials ``p`` and the witness cycle."""
 
     lam: float
     w: np.ndarray
     p: np.ndarray
     cycle: tuple[int, ...]
-    comps: list[list[int]]
+
+    @cached_property
+    def comps(self) -> list[list[int]]:
+        """The support's strongly connected components in Tarjan order, which
+        ``mu``, the screen's size cap and the balanced scaling read; found on
+        first read, so ``nubar_exact`` never searches for them."""
+        return strongly_connected_components(self.w.shape[0], support_adjacency(self.w > NEG))
 
 
 def _cycle_mean_potentials(a: np.ndarray) -> _Front | None:
@@ -136,8 +141,7 @@ def _cycle_mean_potentials(a: np.ndarray) -> _Front | None:
     lam, p = _karp(w)
     if p is None:
         return None
-    comps = strongly_connected_components(a.shape[0], support_adjacency(a))
-    return _Front(lam, w, p, _witness_cycle(w, lam, p), comps)
+    return _Front(lam, w, p, _witness_cycle(w, lam, p))
 
 
 def _nubar_normalized(front: _Front) -> np.ndarray:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,30 @@ def workload_corpus() -> list[np.ndarray]:
     return out
 
 
+def vertex_corpus(seed: int) -> list[np.ndarray]:
+    """Inputs whose grid optimum is mostly a vertex: diagonally dominant,
+    wide-range, 1e-200 off the diagonal, small diagonal against large
+    off-diagonal entries, tied diagonals, zero diagonals, and a two-cycle
+    through the largest diagonal entry that pulls the optimum off the
+    vertex by less than a grid step."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in (3, 4):
+        for _ in range(6):
+            out.append(rng.random((n, n)) + np.diag(rng.uniform(0.5, 2.0, n)))
+            out.append(np.exp(rng.uniform(-20.0, 20.0, (n, n))))
+            for off, diag in ((np.full((n, n), 1e-200), rng.random(n)),
+                              (rng.random((n, n)), 1e-3 * rng.random(n)),
+                              (0.1 * rng.random((n, n)), np.full(n, 0.9)),
+                              (rng.random((n, n)), np.zeros(n))):
+                np.fill_diagonal(off, diag)
+                out.append(off)
+            m = 0.05 * rng.random((n, n))
+            m[0, 0], m[1, 1], m[0, 1], m[1, 0] = 1.0, rng.uniform(0.5, 0.95), 1.0, rng.uniform(1.0, 1.03)
+            out.append(m)
+    return out
+
+
 def counting_roots(monkeypatch) -> list[int]:
     """Replace the oracle's eigvals stacks with a wrapper that records each
     stack's row count."""
@@ -268,3 +294,27 @@ class TestNuOracleBitwise:
         m = np.random.default_rng([3, 0, 3, 0]).random((3, 3))
         assert nu_oracle(m).value == ref_nu_oracle(m).value
         assert len(rows) <= 73  # 32 refinement improvements; 54 stacks
+
+    @pytest.mark.parametrize("n", [4, 3])
+    def test_vertex_optimum_settles_two_node_rows_in_closed_form(self, monkeypatch, n):
+        rows = counting_roots(monkeypatch)
+        m = np.random.default_rng([1, 0, n, 0]).random((n, n))
+        got, ref = nu_oracle(m), ref_nu_oracle(m)
+        assert got.value == ref.value
+        np.testing.assert_array_equal(got.witness_delta, ref.witness_delta)
+        # with every refinement row sent to eigvals: 1,650 rows at n = 4, 1,214 at n = 3
+        assert sum(rows) <= 150
+
+    def test_vertex_corpus_matches_sequential_reference(self):
+        beaten = 0
+        for m in vertex_corpus(seed=48):
+            got, ref = nu_oracle(m), ref_nu_oracle(m)
+            assert got.value == ref.value, m
+            np.testing.assert_array_equal(got.witness_delta, ref.witness_delta)
+            assert got.method == ref.method
+            n, e = m.shape[0], math.frexp(m.max())[1]
+            best, best_dir = nu_exact._coarse_search(np.ldexp(m, -e), _simplex_grid(n, _ORACLE_GRID[n]))
+            beaten += np.count_nonzero(best_dir) == 1 and math.ldexp(best, e) < got.value
+        # some refinement row beats a vertex incumbent, so the rule must
+        # let that row through to eigvals
+        assert beaten >= 1
