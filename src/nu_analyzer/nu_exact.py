@@ -183,7 +183,11 @@ def _refine(a: np.ndarray, best: float, best_dir: np.ndarray, h: float) -> tuple
     While the incumbent is a vertex e_j, every row is e_j or lies on two
     nodes {j, k}; only the rows whose closed-form 2x2 root, times 1 + 1e-9,
     beats the incumbent go to ``eigvals`` (``_vertex_contenders``), and the
-    rest score -inf, so the first hit and the cursor are unchanged.
+    rest score -inf, so the first hit and the cursor are unchanged. From a
+    sweep boundary with a vertex incumbent the run takes every remaining
+    sweep at once: the screen makes the extra rows nearly free, and as only
+    the rows up to the first hit count, a longer run leaves the value and
+    the witness as they were.
     """
     n = a.shape[0]
     width = 17 * n
@@ -193,8 +197,11 @@ def _refine(a: np.ndarray, best: float, best_dir: np.ndarray, h: float) -> tuple
         h *= 0.5
     i, off, run = 0, 0, 1
     while i < len(steps):
+        vertex = np.flatnonzero(best_dir)
         if not off:
             start = best_dir
+            if vertex.size == 1:
+                run = len(steps) - i
         hs = np.array(steps[i:i + run])[:, None]
         # every window is at least h wide, so the stacked linspace takes the
         # same steps, bit for bit, as one call per window
@@ -207,7 +214,6 @@ def _refine(a: np.ndarray, best: float, best_dir: np.ndarray, h: float) -> tuple
         totals = trials.sum(axis=-1)
         rows = np.flatnonzero(totals > 0)
         live = trials[rows] / totals[rows, None]
-        vertex = np.flatnonzero(best_dir)
         if vertex.size == 1:
             scored = _vertex_contenders(a, best, int(vertex[0]), live, (off + rows) // 17 % n)
             roots = np.full(rows.size, -np.inf)

@@ -304,40 +304,43 @@ def _nubar_result(a: np.ndarray, scaling, front: _Front | None) -> NubarResult:
     )
 
 
+# Contraction levels of at most this many nodes run on Python lists: there,
+# NumPy's per-call cost outweighs the arithmetic on a few dozen arcs.
+_LIST_LEVEL = 16
+
+
 def _max_balance_strong(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact max-balancing of a strongly connected log-weighted digraph.
 
-    ``w[u, v]`` is the arc weight, -inf where there is no arc. Repeatedly
-    pins the maximizing cycles: compute the maximum cycle mean, fix relative
-    scalings along the tight strongly connected classes, contract each class
-    to a single node and recurse on the contracted graph (the next level's
-    mean is strictly smaller). Returns per-node log scalings and the level
-    value at which each node was absorbed.
+    ``w[u, v]`` is the arc weight, -inf where there is no arc and on the
+    diagonal. Repeatedly pins the maximizing cycles: compute the maximum
+    cycle mean, fix relative scalings along the tight strongly connected
+    classes, contract each class to a single node and recurse on the
+    contracted graph (the next level's mean is strictly smaller). Returns
+    per-node log scalings and the level value at which each node was
+    absorbed.
+
+    Levels of more than ``_LIST_LEVEL`` nodes run on arrays; the rest finish
+    on Python lists (``_max_balance_lists``). The bits are those of an
+    all-array run: both paths take the same ``_karp`` table, sum each arc's
+    slack in the same order, hand Tarjan the same sorted tight adjacency
+    lists, share the class offsets (``_class_offsets``) and keep, like
+    ``np.maximum.at``, the largest contracted weight, so every level, class
+    and offset is the same double on either path.
     """
     owner = np.arange(w.shape[0])  # contracted node that holds each input node
     pi = np.zeros(w.shape[0])
     level = np.full(w.shape[0], NEG)
     W = w
-    while (W > NEG).any():
+    while W.shape[0] > _LIST_LEVEL and (W > NEG).any():
         lam, p = _karp(W)
         tight = _tight_arcs(W, lam, p, 1e-9)
         tadj = support_adjacency(tight)
         classes = cyclic_components(tight, tadj)
-        delta = np.zeros(W.shape[0])
+        delta = _class_offsets(W, lam, tadj, classes, np.zeros(W.shape[0]))
         new_id = np.full(W.shape[0], -1)
         for ci, comp in enumerate(classes):
-            cs = set(comp)
             new_id[comp] = ci
-            root = comp[0]
-            seen = {root}
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for v in tadj[u]:
-                    if v in cs and v not in seen:
-                        delta[v] = delta[u] + W[u, v] - lam
-                        seen.add(v)
-                        queue.append(v)
         level[(level == NEG) & (new_id[owner] >= 0)] = lam
         rest = np.flatnonzero(new_id < 0)
         new_id[rest] = len(classes) + np.arange(len(rest))
@@ -350,7 +353,78 @@ def _max_balance_strong(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         W_next = np.full((m, m), NEG)
         np.maximum.at(W_next, (new_id[u], new_id[v]), W[u, v] + delta[u] - delta[v])
         W = W_next
-    return pi, level
+    return _max_balance_lists(W.tolist(), owner.tolist(), pi.tolist(), level.tolist())
+
+
+def _class_offsets(W, lam: float, tadj: list[list[int]], classes: list[list[int]], delta):
+    """Fill ``delta`` with each class node's tight-walk offset from its
+    class's first node: a breadth-first search over the sorted tight
+    adjacency lists ``tadj``, taking ``W[u][v] - lam`` along each tree arc.
+    ``W`` and ``delta`` are arrays or lists alike. Returns ``delta``."""
+    for comp in classes:
+        cs = set(comp)
+        root = comp[0]
+        seen = {root}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in tadj[u]:
+                if v in cs and v not in seen:
+                    delta[v] = delta[u] + W[u][v] - lam
+                    seen.add(v)
+                    queue.append(v)
+    return delta
+
+
+def _max_balance_lists(
+    W: list[list[float]], owner: list[int], pi: list[float], level: list[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The remaining levels of ``_max_balance_strong``, from the contracted
+    weights ``W`` as nested lists; ``owner``, ``pi`` and ``level`` are its
+    per-input-node state, as lists, updated in place.
+
+    The arcs are ``(u, v, w)`` tuples in row-major order, so the tight
+    adjacency lists come out sorted, as ``support_adjacency`` gives them.
+    An arc is tight when ``|p[u] + w - lam - p[v]|`` is within the
+    tolerance, summed in ``_tight_arcs``'s order. There are no self-loops,
+    so the tight classes are the components of more than one node.
+    """
+    while True:
+        arcs = [(u, v, x) for u, row in enumerate(W) for v, x in enumerate(row) if x > NEG]
+        if not arcs:
+            return np.array(pi), np.array(level)
+        m = len(W)
+        lam, p = _karp(np.array(W))
+        p = p.tolist()
+        tol = 1e-9 * max(1.0, abs(lam))
+        tadj: list[list[int]] = [[] for _ in range(m)]
+        for u, v, x in arcs:
+            if abs(p[u] + x - lam - p[v]) <= tol:
+                tadj[u].append(v)
+        classes = [comp for comp in strongly_connected_components(m, tadj) if len(comp) > 1]
+        delta = _class_offsets(W, lam, tadj, classes, [0.0] * m)
+        new_id = [-1] * m
+        for ci, comp in enumerate(classes):
+            for u in comp:
+                new_id[u] = ci
+        k = m_next = len(classes)
+        for u in range(m):
+            if new_id[u] < 0:
+                new_id[u] = m_next
+                m_next += 1
+        for i, o in enumerate(owner):
+            if level[i] == NEG and new_id[o] < k:
+                level[i] = lam
+            pi[i] += delta[o]
+            owner[i] = new_id[o]
+        W_next = [[NEG] * m_next for _ in range(m_next)]
+        for u, v, x in arcs:
+            a, b = new_id[u], new_id[v]
+            if a != b:  # pinned inside a class: critical arcs and chords
+                x = x + delta[u] - delta[v]
+                if x > W_next[a][b]:
+                    W_next[a][b] = x
+        W = W_next
 
 
 def balanced_solution(M) -> NubarResult:

@@ -305,6 +305,23 @@ class TestNuOracleBitwise:
         # with every refinement row sent to eigvals: 1,650 rows at n = 4, 1,214 at n = 3
         assert sum(rows) <= 150
 
+    @pytest.mark.parametrize("n", [4, 3])
+    def test_vertex_incumbent_stacks_every_remaining_sweep(self, monkeypatch, n):
+        calls = []
+        screen = nu_exact._vertex_contenders
+
+        def counting(*args):
+            calls.append(1)
+            return screen(*args)
+
+        monkeypatch.setattr(nu_exact, "_vertex_contenders", counting)
+        m = np.random.default_rng([1, 0, n, 0]).random((n, n))
+        got, ref = nu_oracle(m), ref_nu_oracle(m)
+        assert got.value == ref.value
+        np.testing.assert_array_equal(got.witness_delta, ref.witness_delta)
+        # one stack holds every sweep; runs doubling from one sweep take 5
+        assert len(calls) == 1
+
     def test_vertex_corpus_matches_sequential_reference(self):
         beaten = 0
         for m in vertex_corpus(seed=48):

@@ -11,12 +11,14 @@ from nu_analyzer import (
     mu,
     nu_lower_bound,
     nu_oracle,
+    nubar,
     nubar_exact,
     phi_view,
     ring_matrix,
 )
-from nu_analyzer._graph import cyclic_components
+from nu_analyzer._graph import cyclic_components, support_adjacency
 from nu_analyzer.nubar import (
+    _LIST_LEVEL,
     NEG,
     _cycle_mean_potentials,
     _karp,
@@ -321,6 +323,69 @@ class TestBalancedSolution:
                 ref_pi, ref_level = ref_max_balance_strong(w)
                 np.testing.assert_array_equal(pi, ref_pi)
                 np.testing.assert_array_equal(level, ref_level)
+
+    def test_contraction_fuzz_across_the_list_switch(self):
+        # components of 17..40 nodes contract on arrays until a level has at
+        # most _LIST_LEVEL nodes and finish on lists; e^U(-300, 300) sparse
+        # ones and log weights within 1e-7 of integers, whose cycle means
+        # nearly tie, strain the tightness test; every kind must match the
+        # reference bit for bit
+        rng = np.random.default_rng(62)
+        crossed = 0
+        for k in range(60):
+            n = int(rng.integers(17, 41))
+            if k % 3 == 0:
+                m = rng.random((n, n))
+            elif k % 3 == 1:
+                m = np.exp(rng.uniform(-300.0, 300.0, (n, n))) * (rng.random((n, n)) < rng.uniform(0.1, 0.4))
+            else:
+                m = np.exp(rng.integers(-2, 3, (n, n)) + rng.uniform(-1e-7, 1e-7, (n, n)))
+            np.fill_diagonal(m, 0.0)
+            w_off = _log_weights(m)
+            for comp in cyclic_components(m):
+                w = w_off[np.ix_(comp, comp)]
+                crossed += len(comp) > _LIST_LEVEL
+                pi, level = _max_balance_strong(w)
+                ref_pi, ref_level = ref_max_balance_strong(w)
+                np.testing.assert_array_equal(pi, ref_pi)
+                np.testing.assert_array_equal(level, ref_level)
+        assert crossed >= 30
+
+    @pytest.mark.parametrize("n, dense_levels", [(12, False), (24, True)])
+    def test_small_levels_run_on_lists(self, monkeypatch, n, dense_levels):
+        # a level of at most _LIST_LEVEL nodes builds no adjacency from an
+        # array and scatters no contracted weights with np.maximum.at
+        calls = []
+
+        def spy(a):
+            calls.append("support_adjacency")
+            return support_adjacency(a)
+
+        class Maximum:
+            def at(self, *args):
+                calls.append("maximum.at")
+                np.maximum.at(*args)
+
+        class NumpyProxy:
+            maximum = Maximum()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        m = np.random.default_rng(n).random((n, n))
+        np.fill_diagonal(m, 0.0)
+        w = _log_weights(m)
+        ref_pi, ref_level = ref_max_balance_strong(w)
+        monkeypatch.setattr(nubar, "support_adjacency", spy)
+        monkeypatch.setattr(nubar, "np", NumpyProxy())
+        pi, level = _max_balance_strong(w)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(pi, ref_pi)
+        np.testing.assert_array_equal(level, ref_level)
+        if dense_levels:
+            assert {"support_adjacency", "maximum.at"} <= set(calls)
+        else:
+            assert calls == []
 
 
 class TestSandwich:
