@@ -56,7 +56,7 @@ def build_report(
     nu_result: NuResult | None = None,
 ) -> RobustnessReport:
     """Assemble the full robustness report for one magnitude matrix."""
-    m = M if isinstance(M, MagnitudeMatrix) else MagnitudeMatrix.from_array(M)
+    m = M if isinstance(M, MagnitudeMatrix) else MagnitudeMatrix(M)
     a, n = m.m, m.n
     # a cap above n admits every subset, as n itself does
     subset_max = min(n, 12) if subset_max is None else min(subset_max, n)

@@ -78,16 +78,12 @@ class MagnitudeMatrix:
     def n(self) -> int:
         return self.m.shape[0]
 
-    @classmethod
-    def from_array(cls, values) -> "MagnitudeMatrix":
-        return cls(np.asarray(values, dtype=float))
-
 
 def as_array(M) -> np.ndarray:
     """Coerce a MagnitudeMatrix or array-like into a validated ndarray."""
     if isinstance(M, MagnitudeMatrix):
         return M.m
-    return MagnitudeMatrix.from_array(M).m
+    return MagnitudeMatrix(M).m
 
 
 def magnitude_matrix(sys: FirSystem) -> MagnitudeMatrix:

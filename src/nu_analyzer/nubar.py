@@ -136,12 +136,18 @@ class _Front:
 
 def _cycle_mean_potentials(a: np.ndarray) -> _Front | None:
     """The front half that ``nubar_exact``, ``balanced_solution`` and the
-    subset screen share; None on acyclic support."""
+    subset screen share; None on acyclic support. The witness is a cycle of
+    the arcs tight within 1e-9 under the potentials, where every maximizing
+    cycle lies up to rounding; a tight graph without a cycle is a solver
+    fault and raises ``RuntimeError``."""
     w = _log_weights(a)
     lam, p = _karp(w)
     if p is None:
         return None
-    return _Front(lam, w, p, _witness_cycle(w, lam, p))
+    cycle = _cycle_in_tight_graph(_tight_arcs(w, lam, p, 1e-9))
+    if not cycle:
+        raise RuntimeError(f"no tight cycle at the maximum cycle mean {lam!r}")
+    return _Front(lam, w, p, cycle)
 
 
 def _nubar_normalized(front: _Front) -> np.ndarray:
@@ -164,46 +170,28 @@ def _tight_arcs(w: np.ndarray, lam: float, p: np.ndarray, tol: float) -> np.ndar
 
 
 def _cycle_in_tight_graph(tight: np.ndarray) -> tuple[int, ...]:
-    """Deterministic cycle extraction: walk the tight subgraph restricted to
-    its strongly connected parts, from the smallest node, always taking the
-    smallest successor."""
+    """Deterministic cycle extraction: walk from the smallest node of the
+    tight graph's cyclic components, always taking the smallest successor
+    inside its component, to the first repeated node; () without a cycle.
+    Every node of a cyclic component has a successor inside it, so the walk
+    never stops short and, on finitely many nodes, closes a cycle."""
     adj = support_adjacency(tight)
-    comp_sets: dict[int, set[int]] = {}
-    eligible: list[int] = []
-    for comp in cyclic_components(tight, adj):
-        cs = set(comp)
-        for u in comp:
-            comp_sets[u] = cs
-        eligible.extend(comp)
-    for start in sorted(eligible):
-        cs = comp_sets[start]
-        pos = {start: 0}
-        seq = [start]
-        u = start
-        while True:
-            nxt = next((v for v in adj[u] if v in cs), None)
-            if nxt is None:
-                break
-            if nxt in pos:
-                cycle = [int(v) for v in seq[pos[nxt]:]]
-                i = cycle.index(min(cycle))
-                return tuple(cycle[i:] + cycle[:i])
-            pos[nxt] = len(seq)
-            seq.append(nxt)
-            u = nxt
-    return ()
-
-
-def _witness_cycle(w: np.ndarray, lam: float, p: np.ndarray, tol: float = 1e-9) -> tuple[int, ...]:
-    cycle = _cycle_in_tight_graph(_tight_arcs(w, lam, p, tol))
-    if not cycle:
-        # loosen the tightness tolerance; only needed when potentials carry
-        # more rounding than usual
-        for factor in (1e2, 1e4, 1e6):
-            cycle = _cycle_in_tight_graph(_tight_arcs(w, lam, p, tol * factor))
-            if cycle:
-                break
-    return cycle
+    comps = cyclic_components(tight, adj)
+    if not comps:
+        return ()
+    comp = min(comps)  # components are disjoint sorted lists
+    start, cs = comp[0], set(comp)
+    pos = {start: 0}
+    seq = [start]
+    u = start
+    while True:
+        u = next(v for v in adj[u] if v in cs)
+        if u in pos:
+            cycle = seq[pos[u]:]
+            i = cycle.index(min(cycle))
+            return tuple(cycle[i:] + cycle[:i])
+        pos[u] = len(seq)
+        seq.append(u)
 
 
 def _cycle_geometric_mean(a: np.ndarray, cycle: tuple[int, ...]) -> float:
@@ -223,14 +211,14 @@ def _acyclic_scaling(a: np.ndarray) -> np.ndarray:
     return np.where(out_degree > 0, 0.0, 1.0)
 
 
-def certify_optimality(M, d, tol: float = 1e-9) -> bool:
+def certify_optimality(M, d) -> bool:
     """Sufficient optimality test for a scaling.
 
     True when every maximizing scaled entry (k, l) is continued by an equal
     maximizing entry out of l, i.e. the maximizing set chains into loops.
     True implies the scaling is optimal; False is inconclusive.
     """
-    return _certified(phi_view(M, d), tol)
+    return _certified(phi_view(M, d), 1e-9)
 
 
 def _certified(view: PhiView, tol: float) -> bool:
@@ -456,7 +444,7 @@ def _balanced_scaling(a: np.ndarray, front: _Front) -> np.ndarray:
     nblocks = len(comps)
     nontrivial = [len(c) > 1 for c in comps]
 
-    pi = np.zeros(n)
+    pi = np.zeros(n)  # stays zero on trivial blocks
     level = np.full(n, NEG)
     for bi, comp in enumerate(comps):
         if nontrivial[bi]:
@@ -479,7 +467,7 @@ def _balanced_scaling(a: np.ndarray, front: _Front) -> np.ndarray:
     for bs, bt, u, v in cross:
         if not (live[bs] and live[bt]):
             continue  # arcs from zero-scaled nodes contribute nothing
-        c = w_off[u, v] + (pi[u] if nontrivial[bs] else 0.0) - (pi[v] if nontrivial[bt] else 0.0)
+        c = w_off[u, v] + pi[u] - pi[v]
         cap = math.inf
         if nontrivial[bs]:
             cap = min(cap, level[u] + margin)
@@ -512,15 +500,13 @@ def _balanced_scaling(a: np.ndarray, front: _Front) -> np.ndarray:
             if nontrivial[bi]:
                 xn = lo if lo > hi else min(max(x[bi], lo), hi)
             else:
-                p_in = max((c + x[bs] for bs, c, _ in in_arcs[bi]), default=None)
+                # a live chain node became live along a live cross arc
+                p_in = max(c + x[bs] for bs, c, _ in in_arcs[bi])
                 q_out = max((c - x[bt] for bt, c, _ in out_arcs[bi]), default=None)
-                if p_in is None:
-                    xn = 0.0  # unreachable for live chain nodes
-                else:
-                    half = 0.5 * (p_in + q_out) if q_out is not None else NEG
-                    level_u = max(min(half, p_in - lo), tau)
-                    demand[bi] = level_u
-                    xn = p_in - level_u
+                half = 0.5 * (p_in + q_out) if q_out is not None else NEG
+                level_u = max(min(half, p_in - lo), tau)
+                demand[bi] = level_u
+                xn = p_in - level_u
             max_delta = max(max_delta, abs(xn - x[bi]))
             x[bi] = xn
         if max_delta <= 1e-14:
@@ -530,7 +516,7 @@ def _balanced_scaling(a: np.ndarray, front: _Front) -> np.ndarray:
     for bi, comp in enumerate(comps):
         for u in comp:
             if live[bi]:
-                d_log[u] = (pi[u] if nontrivial[bi] else 0.0) + x[bi]
+                d_log[u] = pi[u] + x[bi]
             elif not (w_off[u] > NEG).any():
                 d_log[u] = 0.0  # sinks and isolated nodes: any positive weight
     top = d_log[np.isfinite(d_log)].max()

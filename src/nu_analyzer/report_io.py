@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -113,12 +114,22 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+@contextmanager
+def _readable(path):
+    """Report a file that cannot be opened or is not UTF-8 text as invalid
+    input naming ``path``."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: cannot read: {exc}") from None
+
+
 def read_matrix(path) -> MagnitudeMatrix:
     """Parse a headerless CSV of nonnegative decimal entries into a square
     magnitude matrix."""
     rows: list[list[float]] = []
     linenos: list[int] = []  # the file line of each row; blank lines hold none
-    with open(path, newline="") as fh:
+    with _readable(path), open(path, newline="", encoding="utf-8") as fh:
         for lineno, record in enumerate(csv.reader(fh), start=1):
             if not record or (len(record) == 1 and not record[0].strip()):
                 continue
@@ -160,7 +171,7 @@ def write_matrix(M, path) -> None:
 
 
 def _load_json(path):
-    with open(path) as fh:
+    with _readable(path), open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:

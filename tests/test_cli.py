@@ -116,16 +116,63 @@ class TestAnalyze:
             {"n": 1, "entries": [{"i": 1, "j": 1, "impulse": ["a"]}]},
             {"n": True, "entries": []},
             {"n": 1, "entries": [{"i": 1, "j": 1, "impulse": [True, 1]}]},
+            '{"n": 1, "entries": [',
         ],
-        ids=["string-coefficient", "bool-dimension", "bool-coefficient"],
+        ids=["string-coefficient", "bool-dimension", "bool-coefficient", "invalid-json"],
     )
     def test_malformed_system_is_invalid_input(self, capsys, tmp_path, system):
         path = tmp_path / "sys.json"
-        path.write_text(json.dumps(system))
+        path.write_text(system if isinstance(system, str) else json.dumps(system))
         code, out, err = run_cli(capsys, "analyze", str(path))
         assert code == 2
         assert out == ""
         assert "sys.json: " in err and "internal error" not in err
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("missing.csv", None),
+            ("dir.csv", "directory"),
+            ("latin1.csv", "0,1\n0.5\xb5,0\n".encode("latin-1")),
+            ("latin1.json", '{"n": 1, "entries": [], "\xb5": 0}'.encode("latin-1")),
+        ],
+        ids=["missing", "directory", "non-utf8-csv", "non-utf8-json"],
+    )
+    def test_unreadable_file_is_invalid_input(self, capsys, tmp_path, name, content):
+        path = tmp_path / name
+        if content == "directory":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        for command in ("analyze", "balance"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert code == 2
+            assert out == ""
+            assert f"{path}: cannot read" in err and "internal error" not in err
+
+    def test_unknown_suffix_is_invalid_input(self, capsys, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("0,1\n0.25,0\n")
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2
+        assert out == ""
+        assert "expected a .csv matrix or .json system description" in err
+
+    def test_oracle_beyond_n4_is_skipped_with_a_warning(self, capsys, tmp_path):
+        path = tmp_path / "m5.csv"
+        write_matrix(ring_matrix(np.ones(5)), path)
+        code, out, err = run_cli(capsys, "analyze", str(path), "--oracle")
+        assert code == 0
+        assert json.loads(out)["nu_exact"] is None
+        assert "oracle requested but n=5 exceeds 4; skipping exact value" in err
+
+    def test_front_without_tight_cycle_is_internal_error(self, capsys, monkeypatch, ring4_csv):
+        # a cyclic input whose tight graph holds no cycle is a solver fault
+        monkeypatch.setattr(nubar, "_tight_arcs", lambda w, lam, p, tol: np.zeros(w.shape, bool))
+        code, out, err = run_cli(capsys, "analyze", ring4_csv)
+        assert code == 1
+        assert out == ""
+        assert "internal error" in err and "no tight cycle" in err
 
     def test_subset_max_above_n_is_clipped(self, capsys, tmp_path):
         path = tmp_path / "m.csv"
@@ -259,6 +306,12 @@ class TestGrid:
         assert swap.mu == pytest.approx(1.0, rel=1e-9)
         assert swap.nu == pytest.approx(0.5, rel=1e-9)
         assert swap.nubar == pytest.approx(1.0, rel=1e-9)
+
+    def test_one_step_is_invalid_input(self, capsys):
+        code, out, err = run_cli(capsys, "grid2x2", "--steps", "1")
+        assert code == 2
+        assert out == ""
+        assert "at least 2 steps" in err
 
     def test_csv_output_and_plot_script(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"

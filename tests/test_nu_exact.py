@@ -125,6 +125,10 @@ class TestNuRing:
         with pytest.raises(ValidationError):
             nu_ring([1.0, 0.0])
 
+    def test_empty_weights_rejected(self):
+        with pytest.raises(ValidationError, match="nonempty vector"):
+            nu_ring([])
+
 
 class TestNuOracle:
     def test_pure_swap(self):

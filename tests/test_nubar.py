@@ -151,6 +151,11 @@ class TestNubarExact:
             assert r1.value == pytest.approx(r0.value, rel=1e-9)
             assert r1.witness_cycle == r0.witness_cycle
 
+    def test_front_without_tight_cycle_raises(self, monkeypatch):
+        monkeypatch.setattr(nubar, "_tight_arcs", lambda w, lam, p, tol: np.zeros(w.shape, bool))
+        with pytest.raises(RuntimeError, match="no tight cycle"):
+            nubar_exact(ring_matrix(np.ones(3)))
+
 
 class TestNubarLp:
     def test_identity(self):
@@ -197,6 +202,7 @@ class TestCertificate:
 
     def test_infeasible_scaling_rejected(self):
         assert not certify_optimality([[0.0, 1.0], [1.0, 0.0]], [1.0, 0.0])
+        assert np.isinf(balance_residuals([[0.0, 1.0], [1.0, 0.0]], [1.0, 0.0])).all()
 
     @staticmethod
     def _result_for(d):
@@ -236,6 +242,20 @@ class TestBalancedSolution:
         assert not r.scaling.strictly_positive
         assert r.witness_cycle == (4, 6, 5)
         assert r.certified and r.balanced
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="wide-range inputs the chain sweep leaves unbalanced (ROADMAP item 3)",
+    )
+    @pytest.mark.parametrize("s, i", [(20, 103), (300, 135)], ids=["s20-i103", "s300-i135"])
+    def test_wide_range_input_balanced(self, s, i):
+        # s=20 reads certified with a largest residual of 2.21e-6; s=300 is
+        # infeasible, its residuals inf
+        g = np.random.default_rng([s, i])
+        n = int(g.integers(2, 40))
+        density = [1, 0.5, 0.2, 2 / n][i % 4]
+        m = np.exp(g.uniform(-s, s, (n, n))) * (g.random((n, n)) < density)
+        assert balanced_solution(m).balanced
 
     def test_two_cycle_balanced_scaling(self):
         r = balanced_solution([[0.0, 1.0], [0.09, 0.0]])
@@ -445,3 +465,7 @@ class TestPhiView:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValidationError, match="wrong length"):
             phi_view([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0, 1.0])
+
+    def test_two_dimensional_weights_rejected(self):
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            phi_view([[0.0, 1.0], [1.0, 0.0]], [[1.0, 1.0]])

@@ -78,6 +78,20 @@ class TestMatrixCsv:
         with pytest.raises(ValidationError, match="square"):
             read_matrix(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_names_position(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0.0,1.0\n{cell},0.0\n")
+        with pytest.raises(ValidationError, match="line 2, field 1: non-finite value"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("text", ["", "\n \n"], ids=["no-bytes", "blank-lines"])
+    def test_empty_file_rejected(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match="empty matrix file"):
+            read_matrix(path)
+
 
 class TestSystemJson:
     def test_parse_and_reduce(self, tmp_path):
