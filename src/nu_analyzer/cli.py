@@ -146,6 +146,15 @@ def _load_matrix(path: str) -> MagnitudeMatrix:
     raise ValidationError(f"{path}: expected a .csv matrix or .json system description")
 
 
+def _check_output_paths(args) -> None:
+    """Reject, before any work is done, an ``--out`` or ``--trace`` path that
+    is a directory or lies in a missing one; a ``.gp`` companion goes next
+    to it."""
+    for path in (args.out, getattr(args, "trace", None)):
+        if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            raise ValidationError(f"{path}: not a file path in an existing directory")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text + "\n")
@@ -303,6 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "ring" and args.n is None and args.weights is None:
         parser.error("ring needs --n or --weights")
     try:
+        _check_output_paths(args)
         return args.func(args)
     except ValidationError as exc:
         log.error("%s", exc)

@@ -58,8 +58,10 @@ class NubarResult:
 class PhiView:
     """Scaled entries M_ij * d_i / d_j under the zero conventions.
 
-    Entries with M_ij = 0 are 0. Entries with d_i = 0 are 0 regardless of
-    d_j. Entries with M_ij > 0, d_i > 0 and d_j = 0 are +inf and mark the
+    Entries with M_ij = 0 are 0. Off-diagonal entries with d_i = 0 are 0
+    regardless of d_j. A diagonal entry with d_i = 0 is M_ii: a self-loop is
+    invariant under diagonal similarity, so that is its limit as d_i -> 0.
+    Entries with M_ij > 0, d_i > 0 and d_j = 0 are +inf and mark the
     scaling infeasible.
     """
 
@@ -81,6 +83,8 @@ def _phi(a: np.ndarray, dv: np.ndarray) -> PhiView:
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = a * dv[:, None] / dv[None, :]
     phi = np.where(pos & (dv[:, None] > 0), raw, 0.0)
+    zero = np.flatnonzero(dv == 0)
+    phi[zero, zero] = a[zero, zero]
     return PhiView(matrix=phi, feasible=not np.isinf(phi).any())
 
 
@@ -164,9 +168,10 @@ def _nubar_normalized(front: _Front) -> np.ndarray:
 
 
 def _tight_arcs(w: np.ndarray, lam: float, p: np.ndarray, tol: float) -> np.ndarray:
-    with np.errstate(invalid="ignore"):
-        slack = p[:, None] + w - lam - p[None, :]
-    return (w > NEG) & (np.abs(slack) <= tol * max(1.0, abs(lam)))
+    """Arcs whose slack ``p[u] + w[u, v] - lam - p[v]`` is within ``tol``
+    relative to ``max(1, |lam|)``. ``lam`` and ``p`` must be finite, so a
+    missing arc's slack is -inf and never tight."""
+    return np.abs(p[:, None] + w - lam - p[None, :]) <= tol * max(1.0, abs(lam))
 
 
 def _cycle_in_tight_graph(tight: np.ndarray) -> tuple[int, ...]:
@@ -292,11 +297,6 @@ def _nubar_result(a: np.ndarray, scaling, front: _Front | None) -> NubarResult:
     )
 
 
-# Contraction levels of at most this many nodes run on Python lists: there,
-# NumPy's per-call cost outweighs the arithmetic on a few dozen arcs.
-_LIST_LEVEL = 16
-
-
 def _max_balance_strong(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact max-balancing of a strongly connected log-weighted digraph.
 
@@ -308,89 +308,25 @@ def _max_balance_strong(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     per-node log scalings and the level value at which each node was
     absorbed.
 
-    Levels of more than ``_LIST_LEVEL`` nodes run on arrays; the rest finish
-    on Python lists (``_max_balance_lists``). The bits are those of an
-    all-array run: both paths take the same ``_karp`` table, sum each arc's
-    slack in the same order, hand Tarjan the same sorted tight adjacency
-    lists, share the class offsets (``_class_offsets``) and keep, like
-    ``np.maximum.at``, the largest contracted weight, so every level, class
-    and offset is the same double on either path.
+    ``w`` must be strongly connected. Contracting classes keeps it so, and
+    no level has a self-loop, so a level of more than one node has arcs,
+    a tight cycle and a class of more than one node; the levels run until
+    one node is left. The contracted weight of an arc between two classes
+    is the largest of its arcs shifted by the class offsets.
     """
-    owner = np.arange(w.shape[0])  # contracted node that holds each input node
-    pi = np.zeros(w.shape[0])
-    level = np.full(w.shape[0], NEG)
+    n = w.shape[0]
+    owner = list(range(n))  # contracted node that holds each input node
+    pi = [0.0] * n
+    level = [NEG] * n
     W = w
-    while W.shape[0] > _LIST_LEVEL and (W > NEG).any():
+    while (m := W.shape[0]) > 1:
         lam, p = _karp(W)
-        tight = _tight_arcs(W, lam, p, 1e-9)
-        tadj = support_adjacency(tight)
-        classes = cyclic_components(tight, tadj)
-        delta = _class_offsets(W, lam, tadj, classes, np.zeros(W.shape[0]))
-        new_id = np.full(W.shape[0], -1)
-        for ci, comp in enumerate(classes):
-            new_id[comp] = ci
-        level[(level == NEG) & (new_id[owner] >= 0)] = lam
-        rest = np.flatnonzero(new_id < 0)
-        new_id[rest] = len(classes) + np.arange(len(rest))
-        pi += delta[owner]
-        owner = new_id[owner]
-        u, v = np.nonzero(W > NEG)
-        keep = new_id[u] != new_id[v]  # pinned inside a class: critical arcs and chords
-        u, v = u[keep], v[keep]
-        m = len(classes) + len(rest)
-        W_next = np.full((m, m), NEG)
-        np.maximum.at(W_next, (new_id[u], new_id[v]), W[u, v] + delta[u] - delta[v])
-        W = W_next
-    return _max_balance_lists(W.tolist(), owner.tolist(), pi.tolist(), level.tolist())
-
-
-def _class_offsets(W, lam: float, tadj: list[list[int]], classes: list[list[int]], delta):
-    """Fill ``delta`` with each class node's tight-walk offset from its
-    class's first node: a breadth-first search over the sorted tight
-    adjacency lists ``tadj``, taking ``W[u][v] - lam`` along each tree arc.
-    ``W`` and ``delta`` are arrays or lists alike. Returns ``delta``."""
-    for comp in classes:
-        cs = set(comp)
-        root = comp[0]
-        seen = {root}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in tadj[u]:
-                if v in cs and v not in seen:
-                    delta[v] = delta[u] + W[u][v] - lam
-                    seen.add(v)
-                    queue.append(v)
-    return delta
-
-
-def _max_balance_lists(
-    W: list[list[float]], owner: list[int], pi: list[float], level: list[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The remaining levels of ``_max_balance_strong``, from the contracted
-    weights ``W`` as nested lists; ``owner``, ``pi`` and ``level`` are its
-    per-input-node state, as lists, updated in place.
-
-    The arcs are ``(u, v, w)`` tuples in row-major order, so the tight
-    adjacency lists come out sorted, as ``support_adjacency`` gives them.
-    An arc is tight when ``|p[u] + w - lam - p[v]|`` is within the
-    tolerance, summed in ``_tight_arcs``'s order. There are no self-loops,
-    so the tight classes are the components of more than one node.
-    """
-    while True:
-        arcs = [(u, v, x) for u, row in enumerate(W) for v, x in enumerate(row) if x > NEG]
-        if not arcs:
-            return np.array(pi), np.array(level)
-        m = len(W)
-        lam, p = _karp(np.array(W))
-        p = p.tolist()
-        tol = 1e-9 * max(1.0, abs(lam))
+        us, vs = np.nonzero(_tight_arcs(W, lam, p, 1e-9))
         tadj: list[list[int]] = [[] for _ in range(m)]
-        for u, v, x in arcs:
-            if abs(p[u] + x - lam - p[v]) <= tol:
-                tadj[u].append(v)
+        for u, v in zip(us.tolist(), vs.tolist()):
+            tadj[u].append(v)  # row-major, so each list is sorted
         classes = [comp for comp in strongly_connected_components(m, tadj) if len(comp) > 1]
-        delta = _class_offsets(W, lam, tadj, classes, [0.0] * m)
+        delta = _class_offsets(W, lam, tadj, classes)
         new_id = [-1] * m
         for ci, comp in enumerate(classes):
             for u in comp:
@@ -405,14 +341,37 @@ def _max_balance_lists(
                 level[i] = lam
             pi[i] += delta[o]
             owner[i] = new_id[o]
-        W_next = [[NEG] * m_next for _ in range(m_next)]
-        for u, v, x in arcs:
-            a, b = new_id[u], new_id[v]
-            if a != b:  # pinned inside a class: critical arcs and chords
-                x = x + delta[u] - delta[v]
-                if x > W_next[a][b]:
-                    W_next[a][b] = x
+        if m_next == 1:
+            break  # the last level leaves one node and nothing to contract
+        ids = np.array(new_id)
+        d = np.array(delta)
+        W_next = np.full((m_next, m_next), NEG)
+        np.maximum.at(W_next, (ids[:, None], ids), W + d[:, None] - d)
+        np.fill_diagonal(W_next, NEG)  # pinned inside a class: critical arcs and chords
         W = W_next
+    return np.array(pi), np.array(level)
+
+
+def _class_offsets(
+    W: np.ndarray, lam: float, tadj: list[list[int]], classes: list[list[int]]
+) -> list[float]:
+    """Each class node's tight-walk offset from its class's first node, zero
+    off the classes: a breadth-first search over the sorted tight adjacency
+    lists ``tadj``, taking ``W[u, v] - lam`` along each tree arc."""
+    delta = [0.0] * len(tadj)
+    for comp in classes:
+        cs = set(comp)
+        root = comp[0]
+        seen = {root}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in tadj[u]:
+                if v in cs and v not in seen:
+                    delta[v] = delta[u] + W.item(u, v) - lam
+                    seen.add(v)
+                    queue.append(v)
+    return delta
 
 
 def balanced_solution(M) -> NubarResult:

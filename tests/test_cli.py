@@ -430,6 +430,36 @@ class TestListFlags:
         assert "internal error" not in err
 
 
+class TestOutputPaths:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "RING4", "--out", "OUT"],
+            ["balance", "RING4", "--out", "OUT"],
+            ["balance", "RING4", "--trace", "OUT"],
+            ["grid2x2", "--steps", "3", "--out", "OUT"],
+            ["bench", "--mode", "size", "--trials", "2", "--ns", "3", "--out", "OUT"],
+            ["ring", "--n", "3", "--out", "OUT"],
+        ],
+        ids=["analyze", "balance-out", "balance-trace", "grid2x2", "bench", "ring"],
+    )
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_output_path_is_invalid_input(self, capsys, monkeypatch, tmp_path, ring4_csv, argv, where):
+        # rejected before any work: the commands' workers are never reached
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work started before the output path was checked")
+
+        for name in ("build_report", "heuristic_balance", "grid_records", "convergence_study"):
+            monkeypatch.setattr(f"nu_analyzer.cli.{name}", unreachable)
+        out_path = str(tmp_path / "nodir" / "r.json" if where == "missing-directory" else tmp_path)
+        argv = [ring4_csv if a == "RING4" else out_path if a == "OUT" else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{out_path}: not a file path" in err and "internal error" not in err
+        assert not (tmp_path / "nodir").exists()
+
+
 class TestParserReuse:
     def test_analyze_after_parser_error_matches_fresh_process(self, capsys, ring4_csv):
         with pytest.raises(SystemExit) as exc:
