@@ -90,11 +90,9 @@ def _candidates(b: np.ndarray) -> _Candidates:
     return _Candidates(top, b[line, top], b[line, part[:, n - _CANDIDATES - 1]])
 
 
-def _line_max(
-    op, dense: np.ndarray, cand: _Candidates | None, w: np.ndarray, lim, buf
-) -> tuple[np.ndarray, bool]:
+def _line_max(op, dense: np.ndarray, cand: _Candidates | None, w: np.ndarray, lim, buf) -> np.ndarray:
     """``_full_max(op, dense, w)``, from the candidates where they are
-    certified, and whether every trajectory fell back to the full pass.
+    certified.
 
     ``dense`` is (n, n), with line i's t-th entry at [t, i]; ``w`` is the
     (k, n) weight stack and ``lim`` its per-trajectory extreme weight, the
@@ -109,14 +107,13 @@ def _line_max(
     pass.
     """
     if cand is None:
-        return _full_max(op, dense, w), False
+        return _full_max(op, dense, w)
     g = np.take(w, cand.idx, axis=1, out=buf[: w.shape[0]], mode="clip")
     m = op(cand.vals, g, out=g).max(axis=1)
     ok = (op(cand.rest, lim[:, None]) <= m).all(axis=1) & (op(0.0, lim) == 0)
-    if ok.all():
-        return m, False
-    m[~ok] = _full_max(op, dense, w[~ok])
-    return m, not ok.any()
+    if not ok.all():
+        m[~ok] = _full_max(op, dense, w[~ok])
+    return m
 
 
 def _full_max(op, dense: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -168,10 +165,7 @@ def _balance_runs(
     them at n <= 16). A candidate maximum is certified when it is at least
     the line's (T+1)-th largest entry divided by min(d), or times max(dn);
     it then equals the full pass bit for bit, and a trajectory with any
-    uncertified line recomputes that side with the full n x n pass. A side
-    on which every trajectory fell back takes the full pass directly in the
-    next update, so inputs whose certificates keep failing, such as
-    outer(x, 1/x), waste the candidates on every other update only.
+    uncertified line recomputes that side with the full n x n pass.
     """
     n = a.shape[-1]
     a0 = a.reshape(-1, n, n).copy()
@@ -204,10 +198,9 @@ def _balance_runs(
     scale = np.ones(k)  # max(max(d), 1e-300) per trajectory
     osc = np.zeros(k, dtype=bool)
     back = back_scale = None  # the weights one update before d, and their scale
-    skip_rows = skip_cols = False
     for u in range(max_iter):
         lo = None if rows is None else d.min(axis=1)  # read only by the certificate
-        den, skip_rows = _line_max(np.divide, a0t, None if skip_rows else rows, d, lo, buf)
+        den = _line_max(np.divide, a0t, rows, d, lo, buf)
         ratio = d.copy()
         np.divide(np.sqrt(num), np.sqrt(den), out=ratio, where=np.minimum(num, den) > 0)
         dn = stay * d + theta * ratio
@@ -215,7 +208,7 @@ def _balance_runs(
         # The objective max_ij a_ij dn_i / dn_j comes off the column maxima the
         # next update needs: rounding is monotone, so max_j num_j / dn_j and the
         # diagonal give the same bits as a pass over the whole scaled matrix.
-        num, skip_cols = _line_max(np.multiply, a0, None if skip_cols else cols, dn, hi, buf)
+        num = _line_max(np.multiply, a0, cols, dn, hi, buf)
         obj = np.maximum(num / dn, diag * dn / dn).max(axis=1)
         rel = np.abs(obj - prev) / np.maximum(prev, 1e-300)
         if u == rel_all.shape[0]:

@@ -44,7 +44,7 @@ from .report_io import (
     table_csv,
     write_trace,
 )
-from .spectral import _rho, _subset_bound, spectral_radius
+from .spectral import _subset_bound, spectral_radius
 
 log = logging.getLogger("nu_analyzer")
 
@@ -55,17 +55,16 @@ def build_report(
     oracle: bool = False,
     nu_result: NuResult | None = None,
 ) -> RobustnessReport:
-    """Assemble the full robustness report for one magnitude matrix."""
+    """Assemble the full robustness report for one magnitude matrix: one nubar
+    front half serves the balanced scaling and the subset bound, whose screen
+    reads ``mu`` off the nubar-normalized matrix (``spectral._screen``)."""
     m = M if isinstance(M, MagnitudeMatrix) else MagnitudeMatrix(M)
     a, n = m.m, m.n
     # a cap above n admits every subset, as n itself does
     subset_max = min(n, 12) if subset_max is None else min(subset_max, n)
-    # mu, balanced_solution and nu_lower_bound, sharing one nubar front half
-    # and its component search; acyclic support is nilpotent
     front = _cycle_mean_potentials(a)
-    mu = 0.0 if front is None else _rho(a, front.comps)
     bal = _nubar_result(a, _balanced_scaling, front)
-    lower = _subset_bound(a, subset_max, front)
+    lower, mu = _subset_bound(a, subset_max, front)
 
     if nu_result is None and oracle:
         if n == 2:

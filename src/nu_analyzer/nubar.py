@@ -133,8 +133,8 @@ class _Front:
     @cached_property
     def comps(self) -> list[list[int]]:
         """The support's strongly connected components in Tarjan order, which
-        ``mu``, the screen's size cap and the balanced scaling read; found on
-        first read, so ``nubar_exact`` never searches for them."""
+        the screen's size cap, and so ``mu``, and the balanced scaling read;
+        found on first read, so ``nubar_exact`` never searches for them."""
         return strongly_connected_components(self.w.shape[0], support_adjacency(self.w > NEG))
 
 
@@ -281,6 +281,9 @@ def _nubar_result(a: np.ndarray, scaling, front: _Front | None) -> NubarResult:
     """The result for the scaling ``scaling(a, front)`` picks from the
     front half ``front`` of ``a``, with the value taken along the witness
     cycle. Acyclic support gets the limit scaling, value 0 and no witness.
+    Both flags also need the largest scaled entry to be the value within
+    1e-9 relative, which a scaling whose witness weights underflow to 0,
+    leaving the scaled matrix almost all zero, fails.
     """
     if front is None:
         cycle, d = (), _acyclic_scaling(a)
@@ -288,12 +291,14 @@ def _nubar_result(a: np.ndarray, scaling, front: _Front | None) -> NubarResult:
         cycle, d = front.cycle, scaling(a, front)
     sv = ScalingVector(d)
     view = _phi(a, sv.d)
+    value = _cycle_geometric_mean(a, cycle)
+    attained = value * (1.0 - 1e-9) <= float(view.matrix.max()) <= value * (1.0 + 1e-9)
     return NubarResult(
-        _cycle_geometric_mean(a, cycle),
+        value,
         sv,
         tuple(i + 1 for i in cycle),
-        _certified(view, 1e-9),
-        bool(_residuals(view).max() <= 1e-8),
+        attained and _certified(view, 1e-9),
+        attained and bool(_residuals(view).max() <= 1e-8),
     )
 
 

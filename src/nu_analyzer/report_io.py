@@ -116,8 +116,8 @@ def _fmt(value: float) -> str:
 
 @contextmanager
 def _readable(path):
-    """Report a file that cannot be opened or is not UTF-8 text as invalid
-    input naming ``path``."""
+    """Report a file that cannot be opened or is not UTF-8 text (after an
+    optional byte-order mark, ``utf-8-sig``) as invalid input naming ``path``."""
     try:
         yield
     except (OSError, UnicodeDecodeError) as exc:
@@ -129,7 +129,7 @@ def read_matrix(path) -> MagnitudeMatrix:
     magnitude matrix."""
     rows: list[list[float]] = []
     linenos: list[int] = []  # the file line of each row; blank lines hold none
-    with _readable(path), open(path, newline="", encoding="utf-8") as fh:
+    with _readable(path), open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, record in enumerate(csv.reader(fh), start=1):
             if not record or (len(record) == 1 and not record[0].strip()):
                 continue
@@ -171,7 +171,7 @@ def write_matrix(M, path) -> None:
 
 
 def _load_json(path):
-    with _readable(path), open(path, encoding="utf-8") as fh:
+    with _readable(path), open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from math import comb
+from math import comb, exp
 
 import numpy as np
 
@@ -150,11 +150,14 @@ def _line_sum_caps(scaled: np.ndarray, max_size: int) -> np.ndarray:
 
 def _screen(
     a: np.ndarray, max_size: int, front: _Front | None
-) -> tuple[list[tuple[int, ...]], bool]:
+) -> tuple[list[tuple[int, ...]], bool, float]:
     """Subsets whose batched-eigvals bound is within _SCREEN_WINDOW of the
     top one, by size and then lexicographic, then the witness cycle when it
-    was not screened; and whether the screen ended short of the budget.
-    ``front`` is the nubar front half of ``a``.
+    was not screened; whether the screen ended short of the budget; and
+    rho(a) = exp(lam) rho(N), with rho(N) the size cap's root of the
+    nubar-normalized matrix N, one cyclic component at a time, which N's
+    bounded entries keep accurate (``nu_lower_bound``). ``front`` is the
+    nubar front half of ``a``.
 
     A size k whose line-sum cap c_k (``_line_sum_caps``) is, with a relative
     margin of 1e-9, below the window under the best estimate so far is not
@@ -173,7 +176,7 @@ def _screen(
     and the witness rule are those of the full screen.
     """
     if front is None:
-        return [], True  # acyclic support: every principal submatrix is nilpotent
+        return [], True, 0.0  # acyclic support: every principal submatrix is nilpotent
     scaled = _nubar_normalized(front)
     n = a.shape[0]
     rho_norm = _rho(scaled, front.comps)
@@ -203,7 +206,7 @@ def _screen(
     near = [tuple(int(i) for i in row) for rows in keep for row in rows]
     if len(witness) > len(screened):
         near.append(witness)
-    return near, exhaustive
+    return near, exhaustive, exp(front.lam) * rho_norm
 
 
 def nu_lower_bound(M, max_subset_size: int | None = None) -> SubsetBound:
@@ -239,14 +242,11 @@ def nu_lower_bound(M, max_subset_size: int | None = None) -> SubsetBound:
     bits.
 
     Whole sizes are dropped by the same argument before they are even
-    enumerated. With R_i(k) the sum of the k largest entries of row i of the
-    scaled matrix and C_j(k) the same for column j, the line-sum cap
-    c_k = min(max_i R_i(k), max_j C_j(k))/k bounds min(row, column)/|I| for
-    every subset of k nodes, so a size whose c_k is, with the same margin,
-    below the window is skipped; its C(n, k) subsets still count against the
-    budget below. On ``default_rng(n).random((n, n))`` with a size limit of
-    12, this leaves only the 12 singletons to gather at n = 12, and 14,892
-    of the 65,535 subsets at n = 16, of which 16 reach ``eigvals``.
+    enumerated, through the per-size line-sum caps (``_line_sum_caps``,
+    ``_screen``); their C(n, k) subsets still count against the budget
+    below. On ``default_rng(n).random((n, n))`` with a size limit of 12,
+    this leaves only the 12 singletons to gather at n = 12, and 14,892 of
+    the 65,535 subsets at n = 16, of which 16 reach ``eigvals``.
 
     Sizes run upwards from one. Since rho(M_I) <= rho(M), no subset of more
     than rho(M)/b nodes beats the best screened bound b; past that cap the
@@ -255,11 +255,13 @@ def nu_lower_bound(M, max_subset_size: int | None = None) -> SubsetBound:
     of C(16, k) over k = 1..16 is 65535, so this never happens at n <= 16.
     """
     a = as_array(M)
-    return _subset_bound(a, max_subset_size, _cycle_mean_potentials(a))
+    return _subset_bound(a, max_subset_size, _cycle_mean_potentials(a))[0]
 
 
-def _subset_bound(a: np.ndarray, max_subset_size: int | None, front: _Front | None) -> SubsetBound:
-    """``nu_lower_bound`` of ``a``, whose nubar front half is ``front``."""
+def _subset_bound(
+    a: np.ndarray, max_subset_size: int | None, front: _Front | None
+) -> tuple[SubsetBound, float]:
+    """``nu_lower_bound`` of ``a``, whose nubar front half is ``front``, and rho(a)."""
     n = a.shape[0]
     if max_subset_size is None:
         max_subset_size = n
@@ -270,7 +272,7 @@ def _subset_bound(a: np.ndarray, max_subset_size: int | None, front: _Front | No
 
     best_idx: tuple[int, ...] = (0,)
     best = best_rho = _rho(a[:1, :1])
-    candidates, exhaustive = _screen(a, max_subset_size, front)
+    candidates, exhaustive, rho_a = _screen(a, max_subset_size, front)
     for idx in candidates:
         if idx == (0,):
             continue
@@ -280,4 +282,4 @@ def _subset_bound(a: np.ndarray, max_subset_size: int | None, front: _Front | No
             best, best_rho, best_idx = bound, rho, idx
 
     indices = tuple(i + 1 for i in best_idx)
-    return SubsetBound(indices=indices, rho_sub=best_rho, bound=best, exhaustive=exhaustive)
+    return SubsetBound(indices=indices, rho_sub=best_rho, bound=best, exhaustive=exhaustive), rho_a

@@ -476,5 +476,14 @@ def mixed_corpus(seed: int, count: int, n_min: int = 2, n_max: int = 6) -> list[
     return out
 
 
+def wide_range_input(s: int, i: int) -> np.ndarray:
+    """Input i of the wide-range corpus at scale s: entries exp(U(-s, s)),
+    n in 2..39, density 1, 0.5, 0.2 or 2/n by i modulo 4."""
+    g = np.random.default_rng([s, i])
+    n = int(g.integers(2, 40))
+    density = [1, 0.5, 0.2, 2 / n][i % 4]
+    return np.exp(g.uniform(-s, s, (n, n))) * (g.random((n, n)) < density)
+
+
 def positive_diagonal(rng: np.random.Generator, n: int, low: float = 0.5, high: float = 2.0) -> np.ndarray:
     return np.exp(rng.uniform(np.log(low), np.log(high), size=n))

@@ -452,9 +452,8 @@ class TestCertifiedMaxima:
     THETAS = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
     def test_fuzz_against_full_pass(self, monkeypatch):
-        # how each side of an update went: every trajectory certified, some
-        # or all of them took the full pass, or the candidates were skipped
-        # after a side where all of them had
+        # how each side of an update went: every trajectory certified, or
+        # some or all of them took the full pass
         seen = set()
         calls = []
         line_max, full_max = balancer._line_max, balancer._full_max
@@ -462,10 +461,7 @@ class TestCertifiedMaxima:
         def spy_line(op, dense, cand, w, lim, buf):
             calls.clear()
             out = line_max(op, dense, cand, w, lim, buf)
-            if cand is None:
-                seen.add("skipped")
-            else:
-                seen.add("certified" if not calls else "all" if calls[0] == w.shape[0] else "some")
+            seen.add("certified" if not calls else "all" if calls[0] == w.shape[0] else "some")
             return out
 
         def spy_full(op, dense, w):
@@ -486,7 +482,7 @@ class TestCertifiedMaxima:
                 assert runs.converged[j] == ref.converged
                 assert runs.oscillating[j] == ref.oscillating
                 np.testing.assert_array_equal(runs.final[j], ref.final)
-        assert seen == {"certified", "some", "all", "skipped"}
+        assert seen == {"certified", "some", "all"}
 
     # theta: (max_iters, median_iters) per tolerance of logspace(-1, -6, 11),
     # recorded when every update took both maxima from full n x n passes

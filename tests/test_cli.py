@@ -19,7 +19,7 @@ from nu_analyzer import _graph, nubar, spectral
 from nu_analyzer._graph import strongly_connected_components, support_adjacency
 from nu_analyzer.cli import build_report, grid_records, main
 
-from helpers import enum_max_cycle_mean, mixed_corpus
+from helpers import enum_max_cycle_mean, mixed_corpus, wide_range_input
 
 
 @pytest.fixture()
@@ -150,6 +150,24 @@ class TestAnalyze:
             assert out == ""
             assert f"{path}: cannot read" in err and "internal error" not in err
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("m.csv", "0,1\n0.25,0\n"),
+            ("m.json", '{"n": 2, "entries": [{"i": 1, "j": 2, "impulse": [1.0]}, '
+                       '{"i": 2, "j": 1, "impulse": [0.25]}]}'),
+        ],
+        ids=["csv", "json"],
+    )
+    def test_byte_order_mark_is_valid_input(self, capsys, tmp_path, name, text):
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        outs = [run_cli(capsys, "analyze", str(path)) for path in (plain, marked)]
+        assert outs[0][0] == 0
+        assert outs[1] == outs[0]
+
     def test_unknown_suffix_is_invalid_input(self, capsys, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("0,1\n0.25,0\n")
@@ -196,7 +214,7 @@ class TestAnalyze:
     def test_inconsistent_report_is_internal_error(self, capsys, monkeypatch, ring4_csv):
         # the input is valid, so a broken measure chain is the program's
         # fault: exit 1, not the input-validation code 2
-        monkeypatch.setattr("nu_analyzer.cli._rho", lambda a, comps: 0.0)
+        monkeypatch.setattr("nu_analyzer.spectral._rho", lambda a, comps=None: 0.0)
         for argv in (["analyze", ring4_csv], ["ring", "--n", "4"]):
             code, out, err = run_cli(capsys, *argv)
             assert code == 1
@@ -214,6 +232,27 @@ class TestAnalyze:
         assert code == 0
         r = read_report(out_path)
         assert r.nu_lower.bound <= r.nubar <= r.mu * (1 + 1e-12)
+
+    @pytest.mark.parametrize("s, i", [(600, 131), (700, 78)])
+    def test_wide_range_mu_from_normalized_roots(self, s, i):
+        # the raw blocks' roots read 1.64e61 for 2.17e77 and 0.0 for 4.01e28
+        # here, below nubar
+        r = build_report(wide_range_input(s, i))
+        assert r.nu_lower.bound <= r.nubar <= r.mu * (1 + 1e-12)
+
+    def test_one_perron_solve_per_component_per_report(self, monkeypatch):
+        # mu reads the root of the dense 8x8 block off the one solve that the
+        # subset screen makes on the nubar-normalized matrix
+        blocks = []
+        roots = spectral._perron_roots
+
+        def spy(stack):
+            blocks.append(stack.shape)
+            return roots(stack)
+
+        monkeypatch.setattr(spectral, "_perron_roots", spy)
+        build_report(np.random.default_rng(8).random((8, 8)))
+        assert blocks.count((8, 8)) == 1
 
     def test_one_component_search_per_report(self, monkeypatch):
         # mu, the screen's size cap and the balanced scaling read the

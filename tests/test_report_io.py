@@ -323,7 +323,7 @@ class TestTables:
 PINNED_ORACLE_2X2 = """{
   "schema": 1,
   "n": 2,
-  "mu": 0.5000000000000001,
+  "mu": 0.5,
   "nubar": 0.5,
   "nubar_scaling": [
     0.5,
@@ -348,7 +348,7 @@ PINNED_ORACLE_2X2 = """{
   },
   "ratios": {
     "nubar_over_nu_lower": 1.9999999999999996,
-    "mu_over_nubar": 1.0000000000000002
+    "mu_over_nubar": 1.0
   },
   "diagnostics": {
     "diagonally_maximal": false,

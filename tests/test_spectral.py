@@ -380,7 +380,8 @@ def _prune_matrix(rng: np.random.Generator, kind: str, n: int) -> np.ndarray:
 
 
 def _screen_of(m: np.ndarray, k: int):
-    return spectral._screen(m, k, _cycle_mean_potentials(m))
+    """The screen's subsets and end flag, without its rho(N)."""
+    return spectral._screen(m, k, _cycle_mean_potentials(m))[:2]
 
 
 class TestScreenPrune:
