@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from functools import cache
 from pathlib import Path
@@ -86,8 +87,8 @@ def build_report(
     acyclic = bal.value == 0.0
     diag_max = bool(bal.value > 0 and float(np.diag(a).max()) >= bal.value * (1 - 1e-9))
     ratios = ReportRatios(
-        nubar_over_nu_lower=(bal.value / lower.bound) if lower.bound > 0 else None,
-        mu_over_nubar=(mu / bal.value) if bal.value > 0 else None,
+        nubar_over_nu_lower=_ratio(bal.value, lower.bound),
+        mu_over_nubar=_ratio(mu, bal.value),
     )
     try:
         return RobustnessReport(
@@ -104,6 +105,14 @@ def build_report(
     except ValidationError as exc:
         # the input was valid, so a broken measure chain is a solver fault
         raise RuntimeError(str(exc)) from exc
+
+
+def _ratio(num: float, den: float) -> float | None:
+    """num / den, or None where the quotient is undefined (den is 0) or
+    overflows, neither of which a report can hold."""
+    if den > 0.0 and math.isfinite(num / den):
+        return num / den
+    return None
 
 
 def grid_records(steps: int) -> list[Grid2x2Record]:

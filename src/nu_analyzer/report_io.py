@@ -67,6 +67,9 @@ class RobustnessReport:
 
     def __post_init__(self) -> None:
         n, idx = self.n, self.nu_lower.indices
+        for name, value in (("mu", self.mu), ("nubar", self.nubar), ("nu_lower.bound", self.nu_lower.bound)):
+            if not math.isfinite(value):
+                raise ValidationError(f"inconsistent report: {name} is {value!r}, not a finite number")
         if len(self.nubar_scaling) != n:
             raise ValidationError(f"inconsistent report: {len(self.nubar_scaling)} scaling weights, n is {n}")
         if not idx or idx[0] < 1 or idx[-1] > n or any(a >= b for a, b in zip(idx, idx[1:])):

@@ -18,15 +18,6 @@ from .errors import ValidationError
 from .magnitude import as_array
 from .nubar import _cycle_mean_potentials, _Front, _nubar_normalized
 
-# Relative width of the band below the top screened bound inside which
-# subsets are confirmed with spectral_radius. The screen's eigvals call is
-# backward stable: on the nubar-normalized submatrices (entries at most one)
-# it perturbs each entry by about k * 1e-16, while the best bound there is at
-# least 1/n whenever the witness cycle fits in the subset size limit. A
-# well-conditioned Perron root therefore lands within about 1e-13 of the top
-# value, seven orders of magnitude inside this window.
-_SCREEN_WINDOW = 1e-6
-
 # Most subsets screened by one nu_lower_bound call.
 _SCREEN_BUDGET = 1 << 16
 
@@ -42,7 +33,9 @@ class SpectralResult:
 
 @dataclass(frozen=True)
 class SubsetBound:
-    """Lower bound rho(M_I)/|I| obtained from a principal submatrix."""
+    """Lower bound rho(M_I)/|I| obtained from a principal submatrix;
+    ``rho_sub`` is rho(M_I), read as nubar rho(N_I) off the
+    nubar-normalized matrix N, or the diagonal entry itself when |I| = 1."""
 
     indices: tuple[int, ...]  # 1-based, sorted
     rho_sub: float
@@ -115,22 +108,22 @@ def mu(M) -> float:
 
 
 def _reachable_estimates(
-    scaled: np.ndarray, rows: np.ndarray, top: float
+    scaled: np.ndarray, rows: np.ndarray, level: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The subsets in ``rows`` whose batched-eigvals bound on ``scaled`` can
-    reach the window under ``top``, and those bounds.
+    """The subsets in ``rows`` whose batched-eigvals Perron root on
+    ``scaled``, over |I|, can exceed ``level``, and those roots.
 
     rho(M_I) <= min(max row sum, max column sum), and the computed root
     exceeds that by about |I|^2 * 1e-16 relative at most, far inside the
-    1e-9 margin; the other subsets are dropped before ``eigvals``.
+    1e-9 margin; a subset whose row/column-sum bound over |I|, raised by
+    the margin, is at most ``level`` cannot exceed it and is dropped before
+    ``eigvals``.
     """
     size = rows.shape[1]
     sub = scaled[rows[:, :, None], rows[:, None, :]]
     ub = np.minimum(sub.sum(axis=2).max(axis=1), sub.sum(axis=1).max(axis=1)) / size
-    live = ub * (1.0 + 1e-9) >= top * (1.0 - _SCREEN_WINDOW)
-    if not live.any():
-        return np.empty((0, size), np.intp), np.empty(0)
-    return rows[live], _perron_roots(sub[live]) / size
+    live = ub * (1.0 + 1e-9) > level
+    return rows[live], _perron_roots(sub[live]) if live.any() else np.empty(0)
 
 
 def _line_sum_caps(scaled: np.ndarray, max_size: int) -> np.ndarray:
@@ -150,106 +143,115 @@ def _line_sum_caps(scaled: np.ndarray, max_size: int) -> np.ndarray:
 
 def _screen(
     a: np.ndarray, max_size: int, front: _Front | None
-) -> tuple[list[tuple[int, ...]], bool, float]:
-    """Subsets whose batched-eigvals bound is within _SCREEN_WINDOW of the
-    top one, by size and then lexicographic, then the witness cycle when it
-    was not screened; whether the screen ended short of the budget; and
-    rho(a) = exp(lam) rho(N), with rho(N) the size cap's root of the
-    nubar-normalized matrix N, one cyclic component at a time, which N's
+) -> tuple[tuple[int, ...], float, bool, float]:
+    """The subset I of at most ``max_size`` nodes with the best bound
+    rho(N_I)/|I| on the nubar-normalized matrix N, and rho(N_I); whether the
+    screen ended short of the budget; and rho(a) = exp(lam) rho(N), with
+    rho(N) the size cap's root, one cyclic component at a time, which N's
     bounded entries keep accurate (``nu_lower_bound``). ``front`` is the
     nubar front half of ``a``.
 
-    A size k whose line-sum cap c_k (``_line_sum_caps``) is, with a relative
-    margin of 1e-9, below the window under the best estimate so far is not
+    The walk runs by size and then lexicographic order from the (1,)
+    incumbent, whose root is N's first diagonal entry, and then offers the
+    witness cycle when the screen ended before its size. A subset replaces
+    the incumbent only if its bound is above the replace level, the best
+    bound so far times 1 + 1e-12.
+
+    Three prunes test against the replace level, which only grows, so a
+    subset they drop could not replace the incumbent when its turn came, and
+    the winner is the one the walk would pick without them:
+    ``_reachable_estimates`` drops single subsets, the size cap ends the
+    walk, and a size k whose line-sum cap c_k (``_line_sum_caps``), raised
+    by a relative margin of 1e-9, is at most the replace level is not
     enumerated, gathered or solved. For |I| = k, every row of
     ``scaled[I, I]`` holds k entries of a row of ``scaled``, so its sum is
     at most that row's R_i(k), and likewise for columns: the row/column-sum
     bound ``_reachable_estimates`` would compute for any k-subset is at most
     c_k. The two sums add at most k nonnegative terms in different orders,
-    so they differ by about 2k * 1e-16 relative, far inside the margin.
-    Were rounding ever to lift a subset's bound back into the window, its
-    estimate, which exceeds that bound by about k^2 * 1e-16 relative at
-    most, would still fall below it, and that is all the skip needs: the
-    best estimate only grows, so a skipped subset can neither raise it nor
-    be kept. A skipped size still counts its C(n, k) subsets against the
-    budget and is screened with no survivors, so the budget, ``exhaustive``
-    and the witness rule are those of the full screen.
+    so they differ by about 2k * 1e-16 relative, and a computed root exceeds
+    its row/column-sum bound by about k^2 * 1e-16 relative at most, both far
+    inside the margin. A skipped size still counts its C(n, k) subsets
+    against the budget, so the budget, ``exhaustive`` and the witness rule
+    are those of the unpruned walk.
     """
     if front is None:
-        return [], True, 0.0  # acyclic support: every principal submatrix is nilpotent
+        return (0,), 0.0, True, 0.0  # acyclic support: every principal submatrix is nilpotent
     scaled = _nubar_normalized(front)
     n = a.shape[0]
     rho_norm = _rho(scaled, front.comps)
     caps = _line_sum_caps(scaled, max_size)
-    witness = tuple(sorted(front.cycle)) if len(front.cycle) <= max_size else ()
-    screened, top, total, exhaustive = [], 0.0, 0, True
+    best_idx, best_root = (0,), float(scaled[0, 0])
+    best, total, walked, exhaustive = best_root, 0, 0, True
+
+    def offer(rows: np.ndarray) -> None:
+        nonlocal best_idx, best_root, best
+        size = rows.shape[1]
+        rows, roots = _reachable_estimates(scaled, rows, best * (1.0 + 1e-12))
+        est = roots / size
+        # the replace level only grows, so only subsets above it now can replace
+        for i in np.flatnonzero(est > best * (1.0 + 1e-12)).tolist():
+            if est[i] > best * (1.0 + 1e-12):
+                best_idx, best_root, best = tuple(rows[i].tolist()), float(roots[i]), float(est[i])
+
     for size in range(1, max_size + 1):
-        if top > 0.0 and size > rho_norm / top * (1.0 + 1e-9):
-            break  # rho(M_I) <= rho(M): no subset of this size beats top
+        if best > 0.0 and size > rho_norm / (best * (1.0 + 1e-12)) * (1.0 + 1e-9):
+            break  # rho(N_I) <= rho(N): no subset of this size is above the replace level
         count = comb(n, size)
         total += count
         if total > _SCREEN_BUDGET:
             exhaustive = False
             break
-        if caps[size - 1] * (1.0 + 1e-9) < top * (1.0 - _SCREEN_WINDOW):
-            screened.append((np.empty((0, size), np.intp), np.empty(0)))
+        walked = size
+        if caps[size - 1] * (1.0 + 1e-9) <= best * (1.0 + 1e-12):
             continue
         flat = chain.from_iterable(combinations(range(n), size))
         idx = np.fromiter(flat, np.intp, count=count * size).reshape(count, size)
-        kept = []
         for rows in np.split(idx, range(_SCREEN_CHUNK, count, _SCREEN_CHUNK)):
-            kept.append(_reachable_estimates(scaled, rows, top))
-            top = max(top, float(kept[-1][1].max(initial=0.0)))
-        screened.append(tuple(np.concatenate(part) for part in zip(*kept)))
-    # est > 0: a subset that induces no cycle never beats the incumbent
-    keep = [idx[(est >= top * (1.0 - _SCREEN_WINDOW)) & (est > 0.0)] for idx, est in screened]
-    near = [tuple(int(i) for i in row) for rows in keep for row in rows]
-    if len(witness) > len(screened):
-        near.append(witness)
-    return near, exhaustive, exp(front.lam) * rho_norm
+            offer(rows)
+    if walked < len(front.cycle) <= max_size:
+        offer(np.array([sorted(front.cycle)]))
+    return best_idx, best_root, exhaustive, exp(front.lam) * rho_norm
 
 
 def nu_lower_bound(M, max_subset_size: int | None = None) -> SubsetBound:
     """Best submatrix lower bound rho(M_I)/|I| over subsets of at most
     ``max_subset_size`` nodes.
 
-    The screen takes the Perron roots of all subsets of one size from
-    batched ``np.linalg.eigvals`` calls of at most ``_SCREEN_CHUNK`` subsets
-    each, on the matrix scaled by the ``nubar`` potentials and divided by
-    ``nubar``, formed in the log domain:
-    a diagonal similarity leaves every rho(M_I) unchanged, the scaled entries
-    are at most one, and the witness cycle's submatrix has Perron root at
-    least one. So, whenever the size limit admits the witness cycle, the
-    eigensolver's error stays far below the best value even on entries
-    spanning many orders of magnitude. The confirm pass then runs
-    ``spectral_radius`` on the unscaled submatrix of each subset screened
-    within ``_SCREEN_WINDOW`` of the top, and of the witness cycle if it was
-    not screened; the bound and ``rho_sub`` come from those calls alone.
-    A subset replaces the incumbent only if its bound is above the
-    incumbent's by more than 1e-12 relative, so ties prefer smaller
-    subsets, then lexicographic order, at any scale of M.
+    The screen (``_screen``) walks the subsets on the nubar-normalized
+    matrix N: M scaled by the ``nubar`` potentials and divided by ``nubar``,
+    formed in the log domain. A diagonal similarity leaves every rho(M_I)
+    unchanged, so rho(M_I) = nubar rho(N_I); N's entries are at most one,
+    and the witness cycle's submatrix has Perron root at least one. So,
+    whenever the size limit admits the witness cycle, the eigensolver's
+    error stays far below the best value even on entries spanning many
+    orders of magnitude, where the roots of the unscaled blocks can come out
+    as 0.0. The Perron roots of all subsets of one size come from batched
+    ``np.linalg.eigvals`` calls of at most ``_SCREEN_CHUNK`` subsets each;
+    each matrix of a stack is solved on its own, so every root keeps the bits
+    it gets alone. No subset is solved twice: the winner's bound is
+    nubar rho(N_I)/|I|, and a singleton's is its diagonal entry itself. A
+    subset replaces the incumbent only if its bound is above the
+    incumbent's by more than 1e-12 relative, so ties prefer smaller subsets,
+    then lexicographic order, at any scale of M.
 
-    Only subsets that can reach the window go to ``eigvals``. The Perron root
-    of a nonnegative matrix is at most its largest row sum and its largest
-    column sum, so a subset whose bound min(row, column)/|I| is, with a
-    relative margin of 1e-9, below the window under the best estimate
-    screened so far is dropped. This is exact: ``eigvals`` is backward
-    stable, so a computed root exceeds that bound by about |I|^2 * 1e-16
-    relative at most, and the best estimate only grows, so a dropped subset
-    would have failed the final window; it cannot have raised the best
-    estimate either, so the size cap sees the same values. Each matrix of a
-    stack is solved on its own, so the estimates that remain keep their
-    bits.
+    Only subsets that can pass that replace level go to ``eigvals``. The
+    Perron root of a nonnegative matrix is at most its largest row sum and
+    its largest column sum, so a subset whose bound min(row, column)/|I|,
+    raised by a relative margin of 1e-9, is at most the replace level is
+    dropped. This is exact: ``eigvals`` is backward stable, so a computed
+    root exceeds that bound by about |I|^2 * 1e-16 relative at most, and the
+    replace level only grows, so a dropped subset could not have replaced
+    the incumbent when its turn came.
 
     Whole sizes are dropped by the same argument before they are even
     enumerated, through the per-size line-sum caps (``_line_sum_caps``,
     ``_screen``); their C(n, k) subsets still count against the budget
     below. On ``default_rng(n).random((n, n))`` with a size limit of 12,
     this leaves only the 12 singletons to gather at n = 12, and 14,892 of
-    the 65,535 subsets at n = 16, of which 16 reach ``eigvals``.
+    the 65,535 subsets at n = 16, of which 4 reach ``eigvals``.
 
     Sizes run upwards from one. Since rho(M_I) <= rho(M), no subset of more
-    than rho(M)/b nodes beats the best screened bound b; past that cap the
+    than rho(M)/b nodes beats the best bound b; past that cap the
     result is ``exhaustive``. A size that would take the subset count past
     ``_SCREEN_BUDGET`` = 2^16 ends the screen short, not exhaustive; the sum
     of C(16, k) over k = 1..16 is 65535, so this never happens at n <= 16.
@@ -261,7 +263,9 @@ def nu_lower_bound(M, max_subset_size: int | None = None) -> SubsetBound:
 def _subset_bound(
     a: np.ndarray, max_subset_size: int | None, front: _Front | None
 ) -> tuple[SubsetBound, float]:
-    """``nu_lower_bound`` of ``a``, whose nubar front half is ``front``, and rho(a)."""
+    """``nu_lower_bound`` of ``a``, whose nubar front half is ``front``, and
+    rho(a): the screen's winner mapped back to the scale of ``a``, with no
+    further eigensolve."""
     n = a.shape[0]
     if max_subset_size is None:
         max_subset_size = n
@@ -270,16 +274,10 @@ def _subset_bound(
             f"max_subset_size must be in [1, {n}], got {max_subset_size}"
         )
 
-    best_idx: tuple[int, ...] = (0,)
-    best = best_rho = _rho(a[:1, :1])
-    candidates, exhaustive, rho_a = _screen(a, max_subset_size, front)
-    for idx in candidates:
-        if idx == (0,):
-            continue
-        rho = _rho(a[np.ix_(idx, idx)])
-        bound = rho / len(idx)
-        if bound > best * (1.0 + 1e-12):
-            best, best_rho, best_idx = bound, rho, idx
-
-    indices = tuple(i + 1 for i in best_idx)
-    return SubsetBound(indices=indices, rho_sub=best_rho, bound=best, exhaustive=exhaustive), rho_a
+    idx, root, exhaustive, rho_a = _screen(a, max_subset_size, front)
+    if len(idx) == 1:
+        rho_sub = bound = max(0.0, float(a[idx[0], idx[0]]))  # a self-loop's root is its entry
+    else:
+        rho_sub, bound = exp(front.lam) * root, exp(front.lam) * (root / len(idx))
+    indices = tuple(i + 1 for i in idx)
+    return SubsetBound(indices=indices, rho_sub=rho_sub, bound=bound, exhaustive=exhaustive), rho_a

@@ -2,9 +2,9 @@
 
 These deliberately avoid the production code paths: cycle enumeration is
 plain itertools search, the spectral oracle goes through characteristic
-polynomial roots, the subset-bound oracle runs ``spectral_radius`` on every
-subset where the library screens them with batched eigenvalues, and the
-scaling-bound oracle bisects with Bellman-Ford where the library runs Karp's
+polynomial roots, the subset-bound oracle solves every subset of the
+nubar-normalized matrix alone where the library screens them with batched
+eigenvalues behind three prunes, and the scaling-bound oracle bisects with Bellman-Ford where the library runs Karp's
 mean-cycle recursion. The balancing oracle takes every update's row and
 column maxima and its objective with full n x n passes, where the library
 takes the maxima over per-line candidates certified against the next
@@ -18,8 +18,11 @@ exact-value reference scores every gain direction, one per eigvals call,
 where the library drops grid directions whose row/column-sum bound cannot
 beat the running best and scores the refinement in stacks that run from a
 cursor to the end of a run of sweeps.
-The subset-screen reference sends every subset to eigvals, where the library
-first drops those whose row/column-sum bound cannot reach the top.
+The subset-screen reference walks every subset through eigvals, where the
+library first drops the subsets and sizes whose row/column-sum bounds cannot
+pass the replace level. Both subset references share the library's
+nubar-normalized matrix, so the tests check the bound against
+characteristic-polynomial roots of the unscaled submatrices as well.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from nu_analyzer import (
     balance_residuals,
     certify_optimality,
     nubar_exact,
-    spectral_radius,
 )
 from nu_analyzer._graph import cyclic_components, support_adjacency
 from nu_analyzer.balancer import BalanceStep, BalanceTrace, StudyRow, TrialRecord, trial_matrix
@@ -54,7 +56,7 @@ from nu_analyzer.nubar import (
     _nubar_normalized,
     _tight_arcs,
 )
-from nu_analyzer.spectral import _SCREEN_BUDGET, _SCREEN_CHUNK, _SCREEN_WINDOW, _perron_roots
+from nu_analyzer.spectral import _SCREEN_BUDGET, _SCREEN_CHUNK, _perron_roots
 
 
 def enum_max_cycle_mean(a: np.ndarray) -> float:
@@ -104,29 +106,40 @@ def char_poly_rho(a: np.ndarray) -> float:
 
 
 def enum_subset_bound(a: np.ndarray, max_subset_size: int | None = None) -> SubsetBound:
-    """Exhaustive subset lower bound with spectral_radius on every subset.
+    """Exhaustive subset lower bound with one ``_perron_roots`` call per
+    subset of the nubar-normalized matrix N.
 
-    Same enumeration order, tie margin and (1,) incumbent as the production
-    search, which confirms its screened subsets with the same
-    ``spectral_radius``, so the two agree field for field. Exponential cost;
-    intended for n <= 9.
+    Same enumeration order, tie margin, (1,) incumbent and mapping back to
+    the scale of ``a`` as the production search, which solves its subsets in
+    batched stacks on the same N, so the two agree field for field.
+    Exponential cost; intended for n <= 9.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if max_subset_size is None:
         max_subset_size = n
-    best_idx = (0,)
-    best_rho = spectral_radius(a[:1, :1]).rho
-    best = best_rho
+    front = _cycle_mean_potentials(a)
+    if front is None:
+        return SubsetBound((1,), 0.0, 0.0, True)  # acyclic support: nilpotent
+    scaled = _nubar_normalized(front)
+    best_idx, best_root = (0,), float(scaled[0, 0])
+    best = best_root
     for size in range(1, max_subset_size + 1):
         for idx in combinations(range(n), size):
-            if idx == (0,):
-                continue
-            rho = spectral_radius(a[np.ix_(idx, idx)]).rho
-            bound = rho / size
-            if bound > best * (1.0 + 1e-12):
-                best, best_rho, best_idx = bound, rho, idx
-    return SubsetBound(tuple(i + 1 for i in best_idx), best_rho, best, True)
+            root = float(_perron_roots(scaled[np.ix_(idx, idx)]))
+            if root / size > best * (1.0 + 1e-12):
+                best, best_root, best_idx = root / size, root, idx
+    return _mapped_bound(a, front, best_idx, best_root, True)
+
+
+def _mapped_bound(a: np.ndarray, front, idx: tuple[int, ...], root: float, exhaustive: bool) -> SubsetBound:
+    """The bound of subset ``idx`` (0-based) whose root on N is ``root``, at
+    the scale of ``a``: a singleton's diagonal entry, else nubar rho(N_I)/|I|."""
+    if len(idx) == 1:
+        rho_sub = bound = max(0.0, float(a[idx[0], idx[0]]))
+    else:
+        rho_sub, bound = math.exp(front.lam) * root, math.exp(front.lam) * (root / len(idx))
+    return SubsetBound(tuple(i + 1 for i in idx), rho_sub, bound, exhaustive)
 
 
 def nubar_lp(M, tol_log: float = 1e-10) -> NubarResult:
@@ -287,39 +300,43 @@ def eig_subset_max(scaled: np.ndarray, max_subset_size: int) -> float:
     return best
 
 
-def ref_screen(a: np.ndarray, max_size: int) -> tuple[list[tuple[int, ...]], bool]:
-    """spectral._screen without the row/column-sum prune: every enumerated
-    subset goes to eigvals."""
+def ref_screen(a: np.ndarray, max_size: int) -> tuple[tuple[int, ...], float, bool]:
+    """spectral._screen without its three prunes against the replace level:
+    one walk that sends every subset of each size the budget admits to
+    eigvals, in the screen's order from the (1,) incumbent, and then the
+    witness cycle when the walk ended before its size. Returns the 0-based
+    winner, its root on the nubar-normalized matrix and whether the walk
+    ended short of the budget."""
     front = _cycle_mean_potentials(a)
     if front is None:
-        return [], True  # acyclic support: every principal submatrix is nilpotent
+        return (0,), 0.0, True  # acyclic support: every principal submatrix is nilpotent
     scaled, cycle, comps = _nubar_normalized(front), front.cycle, cyclic_components(a)
     n = a.shape[0]
     rho_norm = max(float(_perron_roots(scaled[np.ix_(c, c)])) for c in comps)
-    witness = tuple(sorted(cycle)) if len(cycle) <= max_size else ()
-    screened, top, total, exhaustive = [], 0.0, 0, True
+    best_idx, best_root = (0,), float(scaled[0, 0])
+    best, total, walked, exhaustive = best_root, 0, 0, True
     for size in range(1, max_size + 1):
-        if top > 0.0 and size > rho_norm / top * (1.0 + 1e-9):
-            break  # rho(M_I) <= rho(M): no subset of this size beats top
+        if best > 0.0 and size > rho_norm / (best * (1.0 + 1e-12)) * (1.0 + 1e-9):
+            break  # rho(N_I) <= rho(N): no subset of this size is above the replace level
         count = comb(n, size)
         total += count
         if total > _SCREEN_BUDGET:
             exhaustive = False
             break
+        walked = size
         flat = chain.from_iterable(combinations(range(n), size))
         idx = np.fromiter(flat, np.intp, count=count * size).reshape(count, size)
-        est = np.concatenate([
-            _perron_roots(scaled[rows[:, :, None], rows[:, None, :]])
-            for rows in np.split(idx, range(_SCREEN_CHUNK, count, _SCREEN_CHUNK))
-        ]) / size
-        screened.append((idx, est))
-        top = max(top, float(est.max()))
-    # est > 0: a subset that induces no cycle never beats the incumbent
-    keep = [idx[(est >= top * (1.0 - _SCREEN_WINDOW)) & (est > 0.0)] for idx, est in screened]
-    near = [tuple(int(i) for i in row) for rows in keep for row in rows]
-    if len(witness) > len(screened):
-        near.append(witness)
-    return near, exhaustive
+        for rows in np.split(idx, range(_SCREEN_CHUNK, count, _SCREEN_CHUNK)):
+            roots = _perron_roots(scaled[rows[:, :, None], rows[:, None, :]])
+            for row, root in zip(rows.tolist(), roots.tolist()):
+                if root / size > best * (1.0 + 1e-12):
+                    best, best_root, best_idx = root / size, root, tuple(row)
+    if len(cycle) <= max_size and len(cycle) > walked:
+        witness = sorted(cycle)
+        root = float(_perron_roots(scaled[np.ix_(witness, witness)]))
+        if root / len(witness) > best * (1.0 + 1e-12):
+            best_root, best_idx = root, tuple(witness)
+    return best_idx, best_root, exhaustive
 
 
 def _objective(a: np.ndarray, d: np.ndarray) -> float:

@@ -13,6 +13,7 @@ from nu_analyzer import (
     read_matrix,
     read_report,
     ring_matrix,
+    spectral_radius,
     write_matrix,
 )
 from nu_analyzer import _graph, nubar, spectral
@@ -233,12 +234,63 @@ class TestAnalyze:
         r = read_report(out_path)
         assert r.nu_lower.bound <= r.nubar <= r.mu * (1 + 1e-12)
 
-    @pytest.mark.parametrize("s, i", [(600, 131), (700, 78)])
-    def test_wide_range_mu_from_normalized_roots(self, s, i):
+    @pytest.mark.parametrize(
+        "s, i, indices", [(600, 131, (6, 11, 13, 17, 18)), (700, 78, (2, 7))], ids=["600-131", "700-78"]
+    )
+    def test_wide_range_mu_from_normalized_roots(self, s, i, indices):
         # the raw blocks' roots read 1.64e61 for 2.17e77 and 0.0 for 4.01e28
-        # here, below nubar
+        # here, below nubar; mu and the subset bound are both read off the
+        # nubar-normalized matrix, whose entries are at most one
         r = build_report(wide_range_input(s, i))
         assert r.nu_lower.bound <= r.nubar <= r.mu * (1 + 1e-12)
+        assert 0 < r.nu_lower.bound
+        assert r.nu_lower.indices == indices and r.nu_lower.exhaustive
+        assert r.ratios.nubar_over_nu_lower is not None
+
+    @pytest.mark.xfail(strict=True, reason="standalone spectral_radius solves raw blocks (ROADMAP item 9)")
+    @pytest.mark.parametrize("s, i", [(600, 131), (700, 78)])
+    def test_wide_range_standalone_spectral_radius(self, s, i):
+        # the raw blocks' roots read 1.64e61 for 2.17e77 and 0.0 for 4.01e28
+        m = wide_range_input(s, i)
+        assert spectral_radius(m).rho == pytest.approx(build_report(m).mu, rel=1e-9)
+
+    def test_one_rho_call_per_report(self, monkeypatch):
+        # the subset bound is read off the screen's roots on N: the one _rho
+        # call is the size cap's rho(N), which mu reads too
+        calls = []
+        radius = spectral._rho
+        monkeypatch.setattr(spectral, "_rho", lambda *args: calls.append(1) or radius(*args))
+        for m in (np.random.default_rng(8).random((8, 8)), ring_matrix(np.ones(5)), wide_range_input(700, 78)):
+            calls.clear()
+            build_report(m)
+            assert len(calls) == 1
+
+    def test_overflowing_ratio_is_null(self, capsys, tmp_path):
+        # a 13-node ring of 1e300 arcs with one 1e-300 self-loop: the 12-node
+        # subset limit leaves the self-loop as the bound, and nubar over it
+        # overflows; the report holds null there, as for a zero bound, and
+        # reads back
+        m = np.zeros((13, 13))
+        m[np.arange(13), (np.arange(13) + 1) % 13] = 1e300
+        m[0, 0] = 1e-300
+        path, out_path = tmp_path / "ring13.csv", tmp_path / "ring13.json"
+        write_matrix(m, path)
+        code, _, _ = run_cli(capsys, "analyze", str(path), "--out", str(out_path))
+        assert code == 0
+        r = read_report(out_path)
+        assert r.nu_lower.indices == (1,) and r.nu_lower.bound == 1e-300
+        assert r.ratios.nubar_over_nu_lower is None
+        assert r.ratios.mu_over_nubar == pytest.approx(1.0, rel=1e-12)
+
+    def test_mu_past_the_float_range_writes_nothing(self, capsys, tmp_path):
+        # four entries of 1e308: mu is 2e308, past the float range, so the
+        # report cannot hold it; the subset bound is the 1e308 self-loop
+        path, out_path = tmp_path / "big.csv", tmp_path / "big.json"
+        path.write_text("1e308,1e308\n1e308,1e308\n")
+        code, out, err = run_cli(capsys, "analyze", str(path), "--out", str(out_path))
+        assert code == 1 and out == ""
+        assert "mu is inf" in err and "subset bound" not in err
+        assert not out_path.exists()
 
     def test_one_perron_solve_per_component_per_report(self, monkeypatch):
         # mu reads the root of the dense 8x8 block off the one solve that the

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,6 +211,18 @@ class TestReportJson:
         else:
             assert back.nubar == (1.0 + 1e-8) * back.mu
 
+    @pytest.mark.parametrize("field", ["mu", "nubar", "nu_lower.bound"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_measure_rejected(self, field, value):
+        # a report holds finite numbers only; the message names the field
+        report = build_report(np.array([[0.5, 1.0], [1.0, 0.5]]))
+        if field == "nu_lower.bound":
+            edited = {"nu_lower": replace(report.nu_lower, bound=value)}
+        else:
+            edited = {field: value}
+        with pytest.raises(ValidationError, match=f"inconsistent report: {field} is"):
+            replace(report, **edited)
+
     def test_scaling_length_must_match_n(self, tmp_path):
         for edit in (lambda d: d["nubar_scaling"].append(1.0), lambda d: d.update(n=7)):
             with pytest.raises(ValidationError, match="scaling weights"):
@@ -331,7 +344,7 @@ PINNED_ORACLE_2X2 = """{
   ],
   "nubar_certified": true,
   "nu_lower": {
-    "bound": 0.25000000000000006,
+    "bound": 0.25,
     "indices": [
       1,
       2
@@ -347,7 +360,7 @@ PINNED_ORACLE_2X2 = """{
     ]
   },
   "ratios": {
-    "nubar_over_nu_lower": 1.9999999999999996,
+    "nubar_over_nu_lower": 2.0,
     "mu_over_nubar": 1.0
   },
   "diagnostics": {

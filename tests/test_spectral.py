@@ -12,7 +12,7 @@ from nu_analyzer import (
     spectral,
     spectral_radius,
 )
-from nu_analyzer.nubar import _cycle_mean_potentials
+from nu_analyzer.nubar import _cycle_mean_potentials, _nubar_normalized
 
 import helpers
 from helpers import (
@@ -229,11 +229,13 @@ class TestSubsetLowerBound:
         cycle = sorted(i - 1 for i in nb.witness_cycle)
         assert len(cycle) <= 12
         floor = max(m.diagonal().max(), spectral_radius(m[np.ix_(cycle, cycle)]).rho / len(cycle))
-        assert b.bound >= floor * (1 - 1e-12)  # the confirm pass's tie margin
+        assert b.bound >= floor * (1 - 1e-12)  # the tie margin
         assert b.bound <= nb.value * (1 + 1e-9)
 
-    def test_witness_cycle_beyond_budget_is_confirmed(self):
-        # an 8-node ring inside n=40: the budget ends the screen after size 3
+    def test_witness_cycle_beyond_budget_is_offered(self):
+        # an 8-node ring inside n=40: the budget ends the screen after size 3,
+        # and the witness cycle is offered last, solved on the
+        # nubar-normalized matrix N
         rng = np.random.default_rng(10)
         m = 0.01 * rng.random((40, 40)) * (rng.random((40, 40)) < 0.05)
         ring = list(range(3, 35, 4))
@@ -241,7 +243,16 @@ class TestSubsetLowerBound:
         b = nu_lower_bound(m, max_subset_size=12)
         assert not b.exhaustive
         assert b.indices == tuple(i + 1 for i in ring)
-        assert b.bound == spectral_radius(m[np.ix_(ring, ring)]).rho / 8
+        front = _cycle_mean_potentials(m)
+        root = float(spectral._perron_roots(_nubar_normalized(front)[np.ix_(ring, ring)]))
+        assert b.bound == np.exp(front.lam) * (root / 8)
+        assert b.bound == pytest.approx(spectral_radius(m[np.ix_(ring, ring)]).rho / 8, rel=1e-12)
+
+    def test_singleton_bound_at_the_float_maximum(self):
+        # the 2x2 block's root 2e308 is past the float range, but no eigensolve
+        # on the unscaled matrix is made: the bound is the 1e308 self-loop
+        b = nu_lower_bound(np.full((2, 2), 1e308))
+        assert b.indices == (1,) and b.rho_sub == b.bound == 1e308
 
     def test_subset_size_validation(self):
         with pytest.raises(ValidationError):
@@ -266,6 +277,17 @@ def _assert_reaches_eig_max(m: np.ndarray, b, max_subset_size: int) -> None:
     assert got == pytest.approx(eig_subset_max(scaled, max_subset_size), rel=1e-9)
 
 
+def _assert_matches_raw_char_poly(m: np.ndarray, b, max_subset_size: int) -> None:
+    # independent of N: characteristic-polynomial roots of the unscaled
+    # submatrices, the winner's to 1e-9 and every other subset's below it
+    n = m.shape[0]
+    idx = [i - 1 for i in b.indices]
+    assert b.bound == pytest.approx(char_poly_rho(m[np.ix_(idx, idx)]) / len(idx), rel=1e-9, abs=0.0)
+    for size in range(1, max_subset_size + 1):
+        for sub in combinations(range(n), size):
+            assert b.bound >= char_poly_rho(m[np.ix_(sub, sub)]) / size * (1 - 1e-9)
+
+
 class TestSubsetScreen:
     @pytest.mark.parametrize("kind", FUZZ_KINDS)
     def test_fuzz_against_enumeration(self, kind):
@@ -280,6 +302,8 @@ class TestSubsetScreen:
                 _assert_reaches_eig_max(m, b, n)
             else:
                 assert b.indices == (1,) and b.rho_sub == 0.0
+            if n <= 7:
+                _assert_matches_raw_char_poly(m, b, n)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_extreme_scale_against_enumeration(self, scale):
@@ -295,12 +319,15 @@ class TestSubsetScreen:
             n = int(rng.integers(3, 9))
             m = _fuzz_matrix(rng, "sparse", n)
             k = int(rng.integers(1, n))
-            assert nu_lower_bound(m, max_subset_size=k) == enum_subset_bound(m, k)
+            b = nu_lower_bound(m, max_subset_size=k)
+            assert b == enum_subset_bound(m, k)
+            if n <= 7:
+                _assert_matches_raw_char_poly(m, b, k)
 
     @pytest.mark.parametrize("density", [1.0, 0.4])
     def test_n16_confirms_few_subsets(self, density, monkeypatch):
-        # the screen confirms its subsets through the private _rho, which
-        # also gives the first singleton's root and the screen's rho_norm
+        # the screen reads its winner's bound off its own roots on N; the one
+        # _rho call is the size cap's rho(N)
         calls = []
         radius = spectral._rho
 
@@ -314,7 +341,7 @@ class TestSubsetScreen:
         b = nu_lower_bound(m, max_subset_size=12)
         assert b.exhaustive
         # the per-subset search made about 64k calls here
-        assert len(calls) <= 4
+        assert len(calls) == 1
         _assert_reaches_eig_max(m, b, 12)
 
     def test_fuzz_beyond_n16_small_subsets(self):
@@ -368,8 +395,8 @@ def _prune_matrix(rng: np.random.Generator, kind: str, n: int) -> np.ndarray:
         np.fill_diagonal(m, 0.0)
         return m
     # two disjoint rings of n // 2 nodes whose cycle means differ by a relative
-    # gap of at most 2e-6, so the lower one falls just inside or just outside
-    # the screen's window; its row and column sums all equal its Perron root
+    # gap of at most 2e-6, so the lower one's row/column-sum bound sits just
+    # under the replace level; its row and column sums all equal its Perron root
     nodes = rng.permutation(n)
     half = n // 2
     w = rng.uniform(0.5, 2.0)
@@ -380,8 +407,8 @@ def _prune_matrix(rng: np.random.Generator, kind: str, n: int) -> np.ndarray:
 
 
 def _screen_of(m: np.ndarray, k: int):
-    """The screen's subsets and end flag, without its rho(N)."""
-    return spectral._screen(m, k, _cycle_mean_potentials(m))[:2]
+    """The screen's winner, its root on N and end flag, without rho(a)."""
+    return spectral._screen(m, k, _cycle_mean_potentials(m))[:3]
 
 
 class TestScreenPrune:
@@ -402,12 +429,12 @@ class TestScreenPrune:
             m = _prune_matrix(rng, PRUNE_KINDS[i % len(PRUNE_KINDS)], n)
             got = _screen_of(m, 12)
             assert got == ref_screen(m, 12)
-            stopped += not got[1]
+            stopped += not got[2]
         assert stopped >= 3
 
-    def test_near_tie_inside_window_is_kept(self):
+    def test_near_tie_picks_the_reference_winner(self):
         # a 4-ring whose bound sits a relative gap below 1e-6 under a 2-ring's,
-        # so its row/column-sum bound is below top but inside the window; a
+        # so its row/column-sum bound is just under the replace level; a
         # zero-diagonal 5-clique lifts rho(M) so the size cap admits size 4
         rng = np.random.default_rng(38)
         for _ in range(10):
@@ -421,7 +448,7 @@ class TestScreenPrune:
             m[clique, clique] = 0.0
             got = _screen_of(m, 11)
             assert got == ref_screen(m, 11)
-            assert tuple(sorted(int(i) for i in ring)) in got[0]
+            assert got[0] == tuple(sorted(int(i) for i in pair))
 
     @pytest.mark.parametrize("kind", ["sparse", "wide", "nilpotent"])
     def test_perron_root_within_row_and_column_sum_bound(self, kind):
@@ -461,7 +488,7 @@ class TestScreenPrune:
     def test_line_sum_caps_skip_most_gathers_at_dense_n(self, n, limit, monkeypatch):
         # without the line-sum caps the screen gathered 2,509 subsets at n=12
         # and 39,202 at n=16 to send a few dozen to eigvals
-        gathered, confirms = [], []
+        gathered, rho_calls = [], []
         estimates, rho = spectral._reachable_estimates, spectral._rho
 
         def counting_estimates(scaled, rows, top):
@@ -469,7 +496,7 @@ class TestScreenPrune:
             return estimates(scaled, rows, top)
 
         def counting_rho(a, comps=None):
-            confirms.append(1)
+            rho_calls.append(1)
             return rho(a, comps)
 
         monkeypatch.setattr(spectral, "_reachable_estimates", counting_estimates)
@@ -478,7 +505,7 @@ class TestScreenPrune:
         b = nu_lower_bound(m, max_subset_size=12)
         assert b.exhaustive
         assert sum(gathered) < limit
-        assert len(confirms) <= 20  # the initial (1,) bound and the confirms
+        assert len(rho_calls) == 1  # the size cap's rho(N)
         _assert_reaches_eig_max(m, b, 12)
 
     def test_few_subsets_reach_eigvals_at_dense_n12(self, monkeypatch):
