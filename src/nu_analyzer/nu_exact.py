@@ -42,27 +42,28 @@ def nu_2x2(M) -> NuResult:
     similarity, the cheapest singularity splits the gain across both
     channels. The formula runs on M divided by the power of two that brings
     its largest entry into [0.5, 1), so the off-diagonal product does not
-    underflow; the value and the witness are scaled back exactly.
+    underflow; the value and the witness are scaled back exactly. A lone
+    self-loop's are read off its unscaled entry, which that can underflow.
     """
-    a = as_array(M)
-    if a.shape[0] != 2:
-        raise ValidationError(f"closed form requires a 2x2 matrix, got {a.shape[0]}x{a.shape[0]}")
-    e = math.frexp(a.max())[1]
-    a = np.ldexp(a, -e)
+    m = as_array(M)
+    if m.shape[0] != 2:
+        raise ValidationError(f"closed form requires a 2x2 matrix, got {m.shape[0]}x{m.shape[0]}")
+    e = math.frexp(m.max())[1]
+    a = np.ldexp(m, -e)
     s = math.sqrt(a[0, 1] * a[1, 0])
     if max(a[0, 0], a[1, 1]) >= s:
-        value = float(max(a[0, 0], a[1, 1]))
+        k = int(np.argmax(np.diag(m)))
+        value = float(m[k, k])
         witness = np.zeros(2)
         if value > 0:
-            k = int(np.argmax(np.diag(a)))
             witness[k] = 1.0 / value
-    else:
-        x, y = a[0, 0] / s, a[1, 1] / s
-        det = x * y - 1.0  # negative here
-        d1 = (y - 1.0) / det
-        d2 = (x - 1.0) / det
-        value = float(s * det / (x + y - 2.0))
-        witness = np.array([d1 / s, d2 / s])
+        return NuResult(value, witness, METHOD_CLOSED_FORM_2X2)
+    x, y = a[0, 0] / s, a[1, 1] / s
+    det = x * y - 1.0  # negative here
+    d1 = (y - 1.0) / det
+    d2 = (x - 1.0) / det
+    value = float(s * det / (x + y - 2.0))
+    witness = np.array([d1 / s, d2 / s])
     return NuResult(math.ldexp(value, e), np.ldexp(witness, -e), METHOD_CLOSED_FORM_2X2)
 
 

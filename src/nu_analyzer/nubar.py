@@ -90,7 +90,7 @@ def _phi(a: np.ndarray, dv: np.ndarray) -> PhiView:
 
 def _log_weights(a: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
-        return np.where(a > 0, np.log(np.where(a > 0, a, 1.0)), NEG)
+        return np.log(a)
 
 
 def _karp(w: np.ndarray) -> tuple[float, np.ndarray | None]:
@@ -200,10 +200,11 @@ def _cycle_in_tight_graph(tight: np.ndarray) -> tuple[int, ...]:
 
 
 def _cycle_geometric_mean(a: np.ndarray, cycle: tuple[int, ...]) -> float:
-    if not cycle:
-        return 0.0
-    total = 0.0
+    """A self-loop's value is its entry, which exp(log a) can miss by an ulp."""
     L = len(cycle)
+    if L <= 1:
+        return float(a[cycle[0], cycle[0]]) if cycle else 0.0
+    total = 0.0
     for i in range(L):
         total += math.log(a[cycle[i], cycle[(i + 1) % L]])
     return math.exp(total / L)
@@ -223,22 +224,18 @@ def certify_optimality(M, d) -> bool:
     maximizing entry out of l, i.e. the maximizing set chains into loops.
     True implies the scaling is optimal; False is inconclusive.
     """
-    return _certified(phi_view(M, d), 1e-9)
+    return _certified(phi_view(M, d))
 
 
-def _certified(view: PhiView, tol: float) -> bool:
-    """``certify_optimality`` read off the scaled entries ``view``."""
+def _certified(view: PhiView) -> bool:
+    """``certify_optimality`` read off the scaled entries ``view``, to 1e-9
+    relative to the largest entry; an all-zero matrix passes."""
     if not view.feasible:
         return False
     phi = view.matrix
     vmax = float(phi.max())
-    if vmax == 0.0:
-        return True
-    ks, ls = np.nonzero(phi >= vmax * (1.0 - tol))
-    for k, l in zip(ks, ls):
-        if abs(phi[k, l] - phi[l].max()) > tol * vmax:
-            return False
-    return True
+    ks, ls = np.nonzero(phi >= vmax * (1.0 - 1e-9))
+    return bool((np.abs(phi[ks, ls] - phi.max(axis=1)[ls]) <= 1e-9 * vmax).all())
 
 
 def balance_residuals(M, d) -> np.ndarray:
@@ -297,7 +294,7 @@ def _nubar_result(a: np.ndarray, scaling, front: _Front | None) -> NubarResult:
         value,
         sv,
         tuple(i + 1 for i in cycle),
-        attained and _certified(view, 1e-9),
+        attained and _certified(view),
         attained and bool(_residuals(view).max() <= 1e-8),
     )
 
@@ -397,7 +394,9 @@ def balanced_solution(M) -> NubarResult:
 def _balanced_scaling(a: np.ndarray, front: _Front) -> np.ndarray:
     """Scaling weights of ``balanced_solution`` on cyclic support with front
     half ``front``. Self-loops neither join nor split components, so the
-    off-diagonal graph's condensation is ``front.comps`` reversed."""
+    off-diagonal graph's condensation is ``front.comps`` reversed. A
+    one-node block's ``level`` is +inf and caps no cross arc; the sweep's
+    max and min pass over the infinite bounds that gives."""
     n = a.shape[0]
     w_off = front.w.copy()
     np.fill_diagonal(w_off, NEG)
@@ -409,7 +408,7 @@ def _balanced_scaling(a: np.ndarray, front: _Front) -> np.ndarray:
     nontrivial = [len(c) > 1 for c in comps]
 
     pi = np.zeros(n)  # stays zero on trivial blocks
-    level = np.full(n, NEG)
+    level = np.full(n, math.inf)
     for bi, comp in enumerate(comps):
         if nontrivial[bi]:
             pi[comp], level[comp] = _max_balance_strong(w_off[np.ix_(comp, comp)])
@@ -432,11 +431,7 @@ def _balanced_scaling(a: np.ndarray, front: _Front) -> np.ndarray:
         if not (live[bs] and live[bt]):
             continue  # arcs from zero-scaled nodes contribute nothing
         c = w_off[u, v] + pi[u] - pi[v]
-        cap = math.inf
-        if nontrivial[bs]:
-            cap = min(cap, level[u] + margin)
-        if nontrivial[bt]:
-            cap = min(cap, level[v] + margin)
+        cap = min(level[u], level[v]) + margin
         in_arcs[bt].append((bs, c, cap))
         out_arcs[bs].append((bt, c, cap))
 
@@ -455,19 +450,16 @@ def _balanced_scaling(a: np.ndarray, front: _Front) -> np.ndarray:
         for bi in sweep_order:
             lo, hi = NEG, math.inf
             for bs, c, cap in in_arcs[bi]:
-                bound = min(cap, demand[bs])
-                if math.isfinite(bound):
-                    lo = max(lo, c + x[bs] - bound)
+                lo = max(lo, c + x[bs] - min(cap, demand[bs]))
             for bt, c, cap in out_arcs[bi]:
-                if math.isfinite(cap):
-                    hi = min(hi, cap - c + x[bt])
+                hi = min(hi, cap - c + x[bt])
             if nontrivial[bi]:
                 xn = lo if lo > hi else min(max(x[bi], lo), hi)
             else:
                 # a live chain node became live along a live cross arc
                 p_in = max(c + x[bs] for bs, c, _ in in_arcs[bi])
-                q_out = max((c - x[bt] for bt, c, _ in out_arcs[bi]), default=None)
-                half = 0.5 * (p_in + q_out) if q_out is not None else NEG
+                q_out = max((c - x[bt] for bt, c, _ in out_arcs[bi]), default=NEG)
+                half = 0.5 * (p_in + q_out)
                 level_u = max(min(half, p_in - lo), tau)
                 demand[bi] = level_u
                 xn = p_in - level_u

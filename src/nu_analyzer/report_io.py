@@ -66,16 +66,19 @@ class RobustnessReport:
     diagnostics: ReportDiagnostics
 
     def __post_init__(self) -> None:
-        n, idx = self.n, self.nu_lower.indices
-        for name, value in (("mu", self.mu), ("nubar", self.nubar), ("nu_lower.bound", self.nu_lower.bound)):
+        n, idx, exact = self.n, self.nu_lower.indices, self.nu_exact
+        measures = [("mu", self.mu), ("nubar", self.nubar), ("nu_lower.bound", self.nu_lower.bound)]
+        if exact is not None:
+            measures += [("nu_exact.value", exact.value), *(("nu_exact.witness", v) for v in exact.witness)]
+        for name, value in measures:
             if not math.isfinite(value):
                 raise ValidationError(f"inconsistent report: {name} is {value!r}, not a finite number")
         if len(self.nubar_scaling) != n:
             raise ValidationError(f"inconsistent report: {len(self.nubar_scaling)} scaling weights, n is {n}")
         if not idx or idx[0] < 1 or idx[-1] > n or any(a >= b for a, b in zip(idx, idx[1:])):
             raise ValidationError(f"inconsistent report: subset {list(idx)} is not increasing in 1..{n}")
-        if self.nu_exact is not None and len(self.nu_exact.witness) != n:
-            raise ValidationError(f"inconsistent report: {len(self.nu_exact.witness)} witness gains, n is {n}")
+        if exact is not None and len(exact.witness) != n:
+            raise ValidationError(f"inconsistent report: {len(exact.witness)} witness gains, n is {n}")
         slack = 1e-6
         if self.nu_lower.bound > self.nubar * (1.0 + slack):
             raise ValidationError("inconsistent report: subset bound exceeds the scaling bound")

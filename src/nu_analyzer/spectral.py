@@ -73,24 +73,21 @@ def spectral_radius(M) -> SpectralResult:
     root is defective, and the eigensolver misses it by about the square
     root of the rounding error.
     """
-    return SpectralResult(_rho(as_array(M)))
+    a = as_array(M)
+    return SpectralResult(_rho(a, cyclic_components(a)))
 
 
-def _rho(a: np.ndarray, comps: list[list[int]] | None = None) -> float:
-    """``spectral_radius`` of the validated array ``a``, over ``comps`` when
-    given: the strongly connected components of a graph holding every arc of
-    ``a`` (the nubar front half's), and over its own cyclic components
-    otherwise.
+def _rho(a: np.ndarray, comps: list[list[int]]) -> float:
+    """Perron root of the validated array ``a`` over ``comps``, the strongly
+    connected components of a graph holding every arc of ``a``.
 
     A one-node component's Perron root is its diagonal entry, 0 without a
     self-loop; taking the entry itself keeps it exact where LAPACK's
     eigensolver rescales entries outside about [6.7e-139, 1.5e138] and
-    misses by an ulp. A 1x1 array skips the component search.
+    misses by an ulp.
     """
-    if a.shape[0] == 1:
-        return max(0.0, float(a[0, 0]))
     rho = 0.0
-    for comp in cyclic_components(a) if comps is None else comps:
+    for comp in comps:
         if len(comp) == 1:
             rho = max(rho, float(a[comp[0], comp[0]]))
         else:
@@ -151,11 +148,12 @@ def _screen(
     bounded entries keep accurate (``nu_lower_bound``). ``front`` is the
     nubar front half of ``a``.
 
-    The walk runs by size and then lexicographic order from the (1,)
-    incumbent, whose root is N's first diagonal entry, and then offers the
-    witness cycle when the screen ended before its size. A subset replaces
-    the incumbent only if its bound is above the replace level, the best
-    bound so far times 1 + 1e-12.
+    A subset replaces the incumbent only if its bound is above the replace
+    level, the best bound so far times 1 + 1e-12. Singletons are ranked so
+    on the diagonal of ``a``, where N's can underflow to 0.0 and tie, and
+    count against the budget; from the winner's N entry the walk runs by
+    size from 2 and then lexicographic order, and then offers the witness
+    cycle when the screen ended before its size.
 
     Three prunes test against the replace level, which only grows, so a
     subset they drop could not replace the incumbent when its turn came, and
@@ -180,8 +178,12 @@ def _screen(
     n = a.shape[0]
     rho_norm = _rho(scaled, front.comps)
     caps = _line_sum_caps(scaled, max_size)
-    best_idx, best_root = (0,), float(scaled[0, 0])
-    best, total, walked, exhaustive = best_root, 0, 0, True
+    diag, k = np.diag(a).tolist(), 0
+    for i in range(1, n):
+        if diag[i] > diag[k] * (1.0 + 1e-12):
+            k = i
+    best_idx, best_root = (k,), float(scaled[k, k])
+    best, total, walked, exhaustive = best_root, n, 1, True
 
     def offer(rows: np.ndarray) -> None:
         nonlocal best_idx, best_root, best
@@ -193,7 +195,7 @@ def _screen(
             if est[i] > best * (1.0 + 1e-12):
                 best_idx, best_root, best = tuple(rows[i].tolist()), float(roots[i]), float(est[i])
 
-    for size in range(1, max_size + 1):
+    for size in range(2, max_size + 1):
         if best > 0.0 and size > rho_norm / (best * (1.0 + 1e-12)) * (1.0 + 1e-9):
             break  # rho(N_I) <= rho(N): no subset of this size is above the replace level
         count = comb(n, size)
@@ -229,10 +231,10 @@ def nu_lower_bound(M, max_subset_size: int | None = None) -> SubsetBound:
     ``np.linalg.eigvals`` calls of at most ``_SCREEN_CHUNK`` subsets each;
     each matrix of a stack is solved on its own, so every root keeps the bits
     it gets alone. No subset is solved twice: the winner's bound is
-    nubar rho(N_I)/|I|, and a singleton's is its diagonal entry itself. A
-    subset replaces the incumbent only if its bound is above the
-    incumbent's by more than 1e-12 relative, so ties prefer smaller subsets,
-    then lexicographic order, at any scale of M.
+    nubar rho(N_I)/|I|, and a singleton's, ranked on the diagonal of M, is
+    its diagonal entry itself. A subset replaces the incumbent only if its
+    bound is above the incumbent's by more than 1e-12 relative, so ties
+    prefer smaller subsets, then lexicographic order, at any scale of M.
 
     Only subsets that can pass that replace level go to ``eigvals``. The
     Perron root of a nonnegative matrix is at most its largest row sum and
@@ -247,8 +249,8 @@ def nu_lower_bound(M, max_subset_size: int | None = None) -> SubsetBound:
     enumerated, through the per-size line-sum caps (``_line_sum_caps``,
     ``_screen``); their C(n, k) subsets still count against the budget
     below. On ``default_rng(n).random((n, n))`` with a size limit of 12,
-    this leaves only the 12 singletons to gather at n = 12, and 14,892 of
-    the 65,535 subsets at n = 16, of which 4 reach ``eigvals``.
+    this leaves no subset to gather at n = 12, and 14,876 of the 65,535
+    subsets at n = 16, none of which reaches ``eigvals``.
 
     Sizes run upwards from one. Since rho(M_I) <= rho(M), no subset of more
     than rho(M)/b nodes beats the best bound b; past that cap the

@@ -215,7 +215,7 @@ class TestAnalyze:
     def test_inconsistent_report_is_internal_error(self, capsys, monkeypatch, ring4_csv):
         # the input is valid, so a broken measure chain is the program's
         # fault: exit 1, not the input-validation code 2
-        monkeypatch.setattr("nu_analyzer.spectral._rho", lambda a, comps=None: 0.0)
+        monkeypatch.setattr("nu_analyzer.spectral._rho", lambda a, comps: 0.0)
         for argv in (["analyze", ring4_csv], ["ring", "--n", "4"]):
             code, out, err = run_cli(capsys, *argv)
             assert code == 1
@@ -291,6 +291,29 @@ class TestAnalyze:
         assert code == 1 and out == ""
         assert "mu is inf" in err and "subset bound" not in err
         assert not out_path.exists()
+
+    def test_exact_self_loop_far_below_the_largest_entry(self, capsys, tmp_path):
+        # the closed form reads the 2e-300 self-loop off the unscaled entry;
+        # it read 0.0, below its own subset bound, after scaling by the
+        # power of two of the 1e300 arc
+        path, out_path = tmp_path / "loop.csv", tmp_path / "loop.json"
+        path.write_text("1e-300,1e300\n0,2e-300\n")
+        code, _, _ = run_cli(capsys, "analyze", str(path), "--oracle", "--out", str(out_path))
+        assert code == 0
+        r = read_report(out_path)
+        assert r.nu_exact.value == 2e-300 and r.nu_exact.witness == (0.0, 1.0 / 2e-300)
+        assert r.nu_lower.bound <= r.nu_exact.value <= r.nubar * (1 + 1e-9)
+
+    def test_exact_witness_past_the_float_range_writes_nothing(self, capsys, tmp_path):
+        # the witness gain 1/2e-320 overflows, so the report cannot hold it
+        path, out_path = tmp_path / "sub.csv", tmp_path / "sub.json"
+        path.write_text("1e-320,0\n0,2e-320\n")
+        code, out, err = run_cli(capsys, "analyze", str(path), "--oracle", "--out", str(out_path))
+        assert code == 1 and out == ""
+        assert "nu_exact.witness is inf" in err
+        assert not out_path.exists()
+        code, out, err = run_cli(capsys, "analyze", str(path), "--oracle")
+        assert code == 1 and out == ""
 
     def test_one_perron_solve_per_component_per_report(self, monkeypatch):
         # mu reads the root of the dense 8x8 block off the one solve that the

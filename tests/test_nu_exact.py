@@ -51,6 +51,11 @@ class TestNu2x2:
         assert r.value == pytest.approx(0.7, rel=1e-12)
         r0 = nu_2x2([[0.0, 1.0], [0.0, 0.0]])
         assert r0.value == 0.0
+        # read off the unscaled entry: dividing by the power of two of the
+        # 1e300 arc underflows both self-loops to 0.0
+        r = nu_2x2([[1e-300, 1e300], [0.0, 2e-300]])
+        assert r.value == 2e-300
+        assert r.witness_delta.tolist() == [0.0, 1.0 / 2e-300]
 
     def test_boundary_normalized_diagonal_one(self):
         # normalized diagonal exactly one: single self-loop witness

@@ -66,6 +66,17 @@ class TestNubarExact:
         assert r.value == pytest.approx(x, rel=1e-12)
         assert r.witness_cycle == (1, 2)
 
+    def test_self_loop_value_is_its_entry(self):
+        # exp(log a) misses these entries by an ulp; at 1e-16 scale that put
+        # nubar under the subset bound of the same self-loop
+        assert nubar_exact([[3.0]]).value == 3.0
+        assert nubar_exact([[0.0, 0.0], [0.0, 0.1]]).value == 0.1
+        m = 1e-16 * np.random.default_rng(5).random((3, 3))
+        r = nubar_exact(m)
+        k = r.witness_cycle[0] - 1
+        assert r.witness_cycle == (k + 1,) and r.value == m[k, k] == 8.050029237453802e-17
+        assert r.value == nu_lower_bound(m).bound
+
     def test_witness_is_the_heavier_of_close_cycles(self):
         # two disjoint 2-cycles whose means differ by 1e-7: the lighter one,
         # on the lower nodes, must not count as tight

@@ -211,13 +211,18 @@ class TestReportJson:
         else:
             assert back.nubar == (1.0 + 1e-8) * back.mu
 
-    @pytest.mark.parametrize("field", ["mu", "nubar", "nu_lower.bound"])
+    @pytest.mark.parametrize("field", ["mu", "nubar", "nu_lower.bound", "nu_exact.value", "nu_exact.witness"])
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     def test_non_finite_measure_rejected(self, field, value):
         # a report holds finite numbers only; the message names the field
-        report = build_report(np.array([[0.5, 1.0], [1.0, 0.5]]))
+        report = build_report(np.array([[0.5, 1.0], [1.0, 0.5]]), oracle=True)
+        exact = report.nu_exact
         if field == "nu_lower.bound":
             edited = {"nu_lower": replace(report.nu_lower, bound=value)}
+        elif field == "nu_exact.value":
+            edited = {"nu_exact": replace(exact, value=value)}
+        elif field == "nu_exact.witness":
+            edited = {"nu_exact": replace(exact, witness=(exact.witness[0], value))}
         else:
             edited = {field: value}
         with pytest.raises(ValidationError, match=f"inconsistent report: {field} is"):

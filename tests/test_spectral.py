@@ -254,6 +254,28 @@ class TestSubsetLowerBound:
         b = nu_lower_bound(np.full((2, 2), 1e308))
         assert b.indices == (1,) and b.rho_sub == b.bound == 1e308
 
+    @pytest.mark.parametrize("loops, indices", [((1e-300, 2e-300), (2,)), ((2e-300, 1e-300), (1,))])
+    def test_singletons_ranked_on_the_diagonal(self, loops, indices):
+        # a 13-node ring of 1e300 arcs, one node past the size limit, with
+        # two self-loops: both of their entries in the nubar-normalized
+        # matrix underflow to 0.0 and would tie, so singletons are ranked on
+        # the diagonal itself
+        m = np.zeros((13, 13))
+        m[np.arange(13), (np.arange(13) + 1) % 13] = 1e300
+        m[0, 0], m[1, 1] = loops
+        b = nu_lower_bound(m, 12)
+        assert b.indices == indices and b.bound == 2e-300 and b.exhaustive
+
+    def test_singletons_reach_no_eigensolver(self, monkeypatch):
+        # a singleton's bound is its diagonal entry, so no 1x1 stack is solved
+        shapes = []
+        roots = spectral._perron_roots
+        monkeypatch.setattr(spectral, "_perron_roots", lambda s: shapes.append(s.shape) or roots(s))
+        for s in range(1, 6):
+            for n in range(2, 13):
+                nu_lower_bound(np.random.default_rng([s, 0, n, 0]).random((n, n)))
+        assert shapes and all(shape[-1] > 1 for shape in shapes)
+
     def test_subset_size_validation(self):
         with pytest.raises(ValidationError):
             nu_lower_bound(np.eye(3), max_subset_size=4)
@@ -495,7 +517,7 @@ class TestScreenPrune:
             gathered.append(rows.shape[0])
             return estimates(scaled, rows, top)
 
-        def counting_rho(a, comps=None):
+        def counting_rho(a, comps):
             rho_calls.append(1)
             return rho(a, comps)
 
